@@ -127,14 +127,6 @@ class Element:
     def support(self) -> set[BasisVector]:
         return set(self._terms)
 
-    def homogeneous_component(self, n: int) -> "Element":
-        return Element._wrap(
-            {bv: cf for bv, cf in self._terms.items() if bv.degree == n}
-        )
-
-    def degrees(self) -> set[int]:
-        return {bv.degree for bv in self._terms}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented

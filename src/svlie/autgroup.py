@@ -125,8 +125,9 @@ class AutomorphismParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", FiniteSupportSeq.of(self.b))
         object.__setattr__(self, "c", FiniteSupportSeq.of(self.c))
-        if self.i not in (0, 1):
-            raise ValueError("parity i must be 0 or 1")
+        # bool is a subclass of int and 1.0 == 1, so test the type as well
+        if type(self.i) is not int or self.i not in (0, 1):
+            raise ValueError("parity i must be the integer 0 or 1")
         object.__setattr__(self, "u", Scalar.coerce(self.u))
         object.__setattr__(self, "w", Scalar.coerce(self.w))
         if not self.u or not self.w:
@@ -144,7 +145,7 @@ def _apply_shear(alpha: Scalar, beta: Scalar, gamma: Scalar, x: Element) -> Elem
     if not alpha and not beta and not gamma:
         return x
     out = ZERO_ELEMENT
-    for bv, cf in x.terms():
+    for bv, cf in x._terms.items():
         n = bv.index
         if bv.kind == "L":
             image = Element(
@@ -167,18 +168,18 @@ def _apply_kind_scale(w: Scalar, x: Element) -> Element:
         return x
     w2 = w * w
     scaled = {"L": ONE, "Y": w, "M": w2, "C": ONE}
-    return Element([(bv, cf * scaled[bv.kind]) for bv, cf in x.terms()])
+    return Element([(bv, cf * scaled[bv.kind]) for bv, cf in x._terms.items()])
 
 
 def _apply_degree_scale(u: Scalar, x: Element) -> Element:
     if u == ONE:
         return x
-    return Element([(bv, cf * u**bv.degree) for bv, cf in x.terms()])
+    return Element([(bv, cf * u**bv.degree) for bv, cf in x._terms.items()])
 
 
 def _apply_flip(x: Element) -> Element:
     return Element(
-        [(BasisVector(bv.kind, -bv.index), -cf) for bv, cf in x.terms()]
+        [(BasisVector(bv.kind, -bv.index), -cf) for bv, cf in x._terms.items()]
     )
 
 
@@ -416,13 +417,10 @@ def params_from_json(data: dict) -> AutomorphismParams:
             {int(key): parse_scalar(value) for key, value in raw.items()}
         )
 
-    parity = data.get("i", 0)
-    if parity not in (0, 1):
-        raise ValueError("parity i must be 0 or 1")
     return AutomorphismParams(
         seq("b"),
         seq("c"),
-        parity,
+        data.get("i", 0),
         parse_scalar(data["u"]),
         parse_scalar(data["w"]),
         parse_scalar(data.get("alpha", "0")),

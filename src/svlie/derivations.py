@@ -371,7 +371,7 @@ def window_map_to_json(dmap: WindowMap) -> dict:
 
 def window_map_from_json(data: dict) -> WindowMap:
     radius = data["radius"]
-    if not isinstance(radius, int):
+    if type(radius) is not int:
         raise ValueError("radius must be an integer")
     raw = data["images"]
     images = {parse_basis_vector(key): parse_element(value) for key, value in raw.items()}

@@ -1,15 +1,19 @@
 """Exact Gaussian-rational scalars and a small dense exact linear solver.
 
-Every coefficient in this package is a Gaussian rational ``a + b*i`` with
-``a, b`` rational, kept in lowest terms by :class:`fractions.Fraction`.
-Nothing here rounds: ``==`` is the only notion of equality, and the solver
-below eliminates with exact pivots (first nonzero entry in column order).
+Every coefficient in this package is a Gaussian rational ``(a + b*i)/d``
+held as three integers in canonical form: ``d > 0`` and
+``gcd(a, b, d) == 1``, with zero stored as ``(0, 0, 1)``.  Each operation
+computes an unreduced triple and divides out one ``math.gcd``, so equal
+values always have equal triples.  Nothing here rounds: ``==`` is the only
+notion of equality, and the solver below eliminates with exact pivots
+(first nonzero entry in column order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "Scalar",
@@ -35,80 +39,143 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """A Gaussian rational ``re + im*i``; immutable and always canonical."""
+    """A Gaussian rational ``re + im*i``; immutable and always canonical.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Stored as integers ``(_a, _b, _d)`` meaning ``(a + b*i)/d`` with
+    ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``), so ``==``
+    and ``hash`` compare three integers.  ``re`` and ``im`` are read back
+    as :class:`fractions.Fraction`.  Arithmetic accepts ``int`` and
+    ``Fraction`` operands on either side.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0):
+        if re.__class__ is int and im.__class__ is int:
+            _set_a(self, re)
+            _set_b(self, im)
+            _set_d(self, 1)
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        dr, di = re.denominator, im.denominator
+        a, b, d = re.numerator * di, im.numerator * dr, dr * di
+        g = gcd(a, b, d)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable Scalar")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable Scalar")
+
+    def __reduce__(self):
+        return (_make, (self._a, self._b, self._d))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @classmethod
     def coerce(cls, value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls(Fraction(value))
+            return cls(value)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
-    @staticmethod
-    def _lift(value) -> "Scalar | None":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(Fraction(value))
-        return None
-
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"Scalar(re={self.re!r}, im={self.im!r})"
+
+    def __str__(self) -> str:
+        return format_scalar(self)
 
     def __add__(self, other):
-        other = Scalar._lift(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is Scalar:
+            c, e, f = other._a, other._b, other._d
+        else:
+            parts = _parts(other)
+            if parts is None:
+                return NotImplemented
+            c, e, f = parts
+        a, b, d = self._a, self._b, self._d
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar._lift(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is Scalar:
+            c, e, f = other._a, other._b, other._d
+        else:
+            parts = _parts(other)
+            if parts is None:
+                return NotImplemented
+            c, e, f = parts
+        a, b, d = self._a, self._b, self._d
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        other = Scalar._lift(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return other - self
+        return _make(*parts) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = Scalar._lift(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        if other.__class__ is Scalar:
+            c, e, f = other._a, other._b, other._d
+        elif other.__class__ is int:
+            # gcd(a*k, b*k, d) == gcd(k, d) because gcd(a, b, d) == 1
+            g = gcd(other, d)
+            k = other // g
+            return _make(a * k, b * k, d // g)
+        else:
+            parts = _parts(other)
+            if parts is None:
+                return NotImplemented
+            c, e, f = parts
+        if not e:
+            return _reduced(a * c, b * c, d * f)
+        if not b:
+            return _reduced(a * c, a * e, d * f)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(self.re / norm, -self.im / norm)
+        return _reduced(a * d, -b * d, norm)
 
     def __truediv__(self, other):
         return self * Scalar.coerce(other).inverse()
@@ -132,26 +199,57 @@ class Scalar:
                 base = base * base
         return result
 
-    def __str__(self) -> str:
-        return format_scalar(self)
+
+# Slot setters that bypass Scalar.__setattr__, for building new values.
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
+_set_d = Scalar._d.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> Scalar:
+    """Wrap a triple that is already canonical."""
+    out = _new(Scalar)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """Canonical form of ``(a + b*i)/d`` for ``d > 0``: one gcd."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
+def _parts(value) -> tuple[int, int, int] | None:
+    """The triple of an ``int`` or ``Fraction`` operand (bools included)."""
+    if isinstance(value, int):
+        return int(value), 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
 
 
 ZERO = Scalar()
-ONE = Scalar(Fraction(1))
-I = Scalar(Fraction(0), Fraction(1))
+ONE = Scalar(1)
+I = Scalar(0, 1)
 
 
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: ``parse_scalar(format_scalar(x)) == x`` exactly."""
     if x.is_zero():
         return "0"
-    if not x.im:
-        return str(x.re)
-    imag = f"{abs(x.im)}i"
-    if not x.re:
-        return imag if x.im > 0 else f"-{imag}"
-    sign = "+" if x.im > 0 else "-"
-    return f"{x.re}{sign}{imag}"
+    re, im = x.re, x.im
+    if not im:
+        return str(re)
+    imag = f"{abs(im)}i"
+    if not re:
+        return imag if im > 0 else f"-{imag}"
+    sign = "+" if im > 0 else "-"
+    return f"{re}{sign}{imag}"
 
 
 def _skip_ws(text: str, pos: int) -> int:

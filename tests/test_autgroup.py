@@ -229,8 +229,9 @@ def test_params_validation():
         AutomorphismParams(u=ZERO)
     with pytest.raises(ValueError):
         AutomorphismParams(w=ZERO)
-    with pytest.raises(ValueError):
-        AutomorphismParams(i=2)
+    for parity in (2, True, 1.0):
+        with pytest.raises(ValueError):
+            AutomorphismParams(i=parity)
 
 
 def test_params_json_roundtrip():

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from svlie.autgroup import AutomorphismParams, identity, params_from_json, params_to_json
+from svlie.autgroup import (
+    AutomorphismParams,
+    automorphism_window_map,
+    identity,
+    params_from_json,
+    params_to_json,
+)
 from svlie.cli import main
 from svlie.derivations import (
     ClassifiedDerivation,
@@ -84,8 +90,6 @@ def test_apply_der(tmp_path, capsys):
 
 def test_factorize_roundtrip(tmp_path, capsys):
     p = AutomorphismParams(alpha=ONE, beta=Scalar(2), gamma=Scalar(3))
-    from svlie.autgroup import automorphism_window_map
-
     m_file = tmp_path / "m.json"
     m_file.write_text(json.dumps(window_map_to_json(automorphism_window_map(p, 3))))
     code, out, _ = run(capsys, "factorize", "--format", "json", str(m_file))
@@ -111,6 +115,27 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "invert", str(missing))
     assert code == 2
+
+
+def test_boolean_parity_exits_2(tmp_path, capsys):
+    data = params_to_json(AutomorphismParams(i=1))
+    data["i"] = True
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "invert", "--format", "json", str(p_file))
+    assert code == 2
+    assert out == ""
+    assert "parity" in err
+
+
+def test_boolean_radius_exits_2(tmp_path, capsys):
+    data = window_map_to_json(automorphism_window_map(identity(), 1))
+    data["radius"] = True
+    m_file = tmp_path / "m.json"
+    m_file.write_text(json.dumps(data))
+    code, _, err = run(capsys, "factorize", str(m_file))
+    assert code == 2
+    assert "radius must be an integer" in err
 
 
 def test_verify_exit_status_and_determinism(capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,18 @@ def test_reports_are_byte_identical():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     different = run_suite("group-law", radius=3, seed=10, cases=6)
     assert different["seed"] != first["seed"]
+
+
+KNOWN_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / "known_answers.json"
+
+
+@pytest.mark.parametrize("key", ["group-law/4/16", "lemma36-verdict/4/8"])
+def test_report_bytes_match_the_pinned_hash(key):
+    pinned = json.loads(KNOWN_ANSWERS.read_text(encoding="utf-8"))["report_sha256"][key]
+    suite, radius, cases = key.split("/")
+    report = run_suite(suite, int(radius), 0, int(cases))
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
 
 def test_verdict_table_contents():
