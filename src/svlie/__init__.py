@@ -55,7 +55,7 @@ from .derivations import (
 from .expr import parse_basis_vector, parse_element
 from .scalar import (
     I,
-    Matrix,
+    LinearSystem,
     ONE,
     ParseError,
     Scalar,

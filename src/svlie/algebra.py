@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import Matrix, ONE, Scalar, ZERO, format_scalar, nullspace
+from .scalar import LinearSystem, ONE, Scalar, ZERO, format_scalar, nullspace
 
 __all__ = [
     "BasisVector",
@@ -263,7 +263,7 @@ def exp_ad(x: Element, target: Element) -> Element:
             raise ValueError(f"ad not nilpotent / not in inner radical: {bv}")
     first = bracket(x, target)
     second = bracket(x, first)
-    return target + first + _HALF * second
+    return target + first + second * _HALF
 
 
 def jacobi_residual(x: Element, y: Element, z: Element) -> Element:
@@ -306,17 +306,10 @@ def _normalized(e: Element) -> Element:
 def centralizer_window(window: Window) -> list[Element]:
     """Exact basis of the in-window vectors commuting with every in-window generator."""
     gens = window.vectors()
-    columns = {bv: i for i, bv in enumerate(gens)}
-    rows: dict[tuple[BasisVector, BasisVector], list[Scalar]] = {}
-    for bv, col in columns.items():
+    system = LinearSystem(len(gens))
+    for col, bv in enumerate(gens):
         for g in gens:
             for out_bv, cf in bracket_basis(bv, g)._terms.items():
-                key = (g, out_bv)
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = [ZERO] * len(gens)
-                row[col] = row[col] + cf
-    ordered = sorted(rows, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
-    kernel = nullspace(Matrix.from_rows([rows[k] for k in ordered]))
-    basis = [_normalized(Element(zip(gens, vec))) for vec in kernel]
+                system.add((g, out_bv), col, cf)
+    basis = [_normalized(Element(zip(gens, vec))) for vec in nullspace(system)]
     return sorted(basis, key=lambda e: e.terms()[0][0].sort_key())

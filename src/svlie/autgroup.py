@@ -159,7 +159,7 @@ def _apply_shear(alpha: Scalar, beta: Scalar, gamma: Scalar, x: Element) -> Elem
             image = Element([(bv, ONE), (M(n), 2 * alpha * n)])
         else:
             image = single(bv)
-        out = out + cf * image
+        out = out + image * cf
     return out
 
 
@@ -303,7 +303,7 @@ def is_automorphism_window(
                 continue
             lhs = ZERO_ELEMENT
             for bv, cf in xy.terms():
-                lhs = lhs + cf * dmap.image(bv)
+                lhs = lhs + dmap.image(bv) * cf
             residual = lhs - bracket(dmap.image(x), dmap.image(y))
             if not residual.is_zero():
                 violations.append((x, y, residual))

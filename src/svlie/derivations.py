@@ -30,7 +30,7 @@ from .algebra import (
     single,
 )
 from .expr import parse_basis_vector, parse_element
-from .scalar import Matrix, ONE, Scalar, ZERO, format_scalar, nullspace, parse_scalar
+from .scalar import LinearSystem, ONE, Scalar, ZERO, format_scalar, nullspace, parse_scalar
 
 __all__ = [
     "DerivationError",
@@ -101,7 +101,7 @@ def apply_classified(deriv: ClassifiedDerivation, x: Element) -> Element:
     for bv, cf in x.terms():
         image = _outer_image(deriv.c1, deriv.c2, deriv.c3, bv)
         if not image.is_zero():
-            out = out + cf * image
+            out = out + image * cf
     return out
 
 
@@ -178,7 +178,7 @@ def leibniz_check(dmap: WindowMap) -> list[tuple[BasisVector, BasisVector, Eleme
                 if not in_window_image[bv]:
                     comparable = False
                     break
-                lhs = lhs + cf * dmap.image(bv)
+                lhs = lhs + dmap.image(bv) * cf
             if not comparable:
                 continue
             rhs = bracket(dmap.image(x), single(y)) + bracket(single(x), dmap.image(y))
@@ -259,16 +259,7 @@ def outer_independence_kernel(
     and z central.
     """
     gens = window.vectors()
-    ncols = 3 + len(gens)
-    rows: dict[tuple[BasisVector, BasisVector], list[Scalar]] = {}
-
-    def row_at(g: BasisVector, out_bv: BasisVector) -> list[Scalar]:
-        key = (g, out_bv)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = [ZERO] * ncols
-        return row
-
+    system = LinearSystem(3 + len(gens))
     for g in gens:
         for col, rule in enumerate(
             (
@@ -278,14 +269,11 @@ def outer_independence_kernel(
             )
         ):
             for out_bv, cf in rule.terms():
-                row = row_at(g, out_bv)
-                row[col] = row[col] + cf
+                system.add((g, out_bv), col, cf)
         for zcol, zbv in enumerate(gens):
             for out_bv, cf in bracket_basis(zbv, g).terms():
-                row = row_at(g, out_bv)
-                row[3 + zcol] = row[3 + zcol] - cf
-    ordered = sorted(rows, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
-    kernel = nullspace(Matrix.from_rows([rows[k] for k in ordered]))
+                system.add((g, out_bv), 3 + zcol, -cf)
+    kernel = nullspace(system)
     out = []
     for vec in kernel:
         z = Element(zip(gens, vec[3:]))
@@ -314,16 +302,7 @@ def equivariant_hom_nullity(window: Window) -> int:
     for n in span:
         index[("c", n)] = len(index)
 
-    rows: dict[tuple, dict[int, Scalar]] = {}
-
-    def add(row_key: tuple, col: int, cf: Scalar) -> None:
-        row = rows.setdefault(row_key, {})
-        total = row.get(col, ZERO) + cf
-        if total:
-            row[col] = total
-        elif col in row:
-            del row[col]
-
+    system = LinearSystem(len(index))
     for m in span:
         for n in span:
             if abs(m + n) > radius:
@@ -331,33 +310,12 @@ def equivariant_hom_nullity(window: Window) -> int:
             action = bracket_basis(L(m), Y(n)).coeff(Y(m + n))
             for k in span:
                 for bv, cf in bracket_basis(L(m), L(k)).terms():
-                    add((m, n, bv), index[("p", n, k)], cf)
+                    system.add((m, n, bv), index[("p", n, k)], cf)
             if action:
                 for j in span:
-                    add((m, n, L(j)), index[("p", m + n, j)], -action)
-                add((m, n, C), index[("c", m + n)], -action)
-
-    # Dedupe proportional rows before the dense solve; the system is large
-    # but each raw row touches at most a handful of unknowns.
-    seen: set[tuple] = set()
-    dense_rows: list[list[Scalar]] = []
-    for row_key in rows:
-        row = rows[row_key]
-        if not row:
-            continue
-        items = sorted(row.items())
-        lead = items[0][1]
-        shape = tuple((col, cf / lead) for col, cf in items)
-        if shape in seen:
-            continue
-        seen.add(shape)
-        dense = [ZERO] * len(index)
-        for col, cf in items:
-            dense[col] = cf
-        dense_rows.append(dense)
-    if not dense_rows:
-        return len(index)
-    return len(nullspace(Matrix.from_rows(dense_rows)))
+                    system.add((m, n, L(j)), index[("p", m + n, j)], -action)
+                system.add((m, n, C), index[("c", m + n)], -action)
+    return len(nullspace(system))
 
 
 def window_map_to_json(dmap: WindowMap) -> dict:

@@ -1,23 +1,22 @@
-"""Exact Gaussian-rational scalars and a small dense exact linear solver.
+"""Exact Gaussian-rational scalars and a sparse exact linear solver.
 
 Every coefficient in this package is a Gaussian rational ``(a + b*i)/d``
 held as three integers in canonical form: ``d > 0`` and
 ``gcd(a, b, d) == 1``, with zero stored as ``(0, 0, 1)``.  Each operation
 computes an unreduced triple and divides out one ``math.gcd``, so equal
 values always have equal triples.  Nothing here rounds: ``==`` is the only
-notion of equality, and the solver below eliminates with exact pivots
-(first nonzero entry in column order).
+notion of equality, and the solver below keeps its rows sparse and
+eliminates each one by its lowest nonzero column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 __all__ = [
     "Scalar",
-    "Matrix",
+    "LinearSystem",
     "ParseError",
     "ZERO",
     "ONE",
@@ -325,110 +324,102 @@ def parse_scalar(text: str) -> Scalar:
     return value
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Dense row-major matrix of scalars."""
+class LinearSystem:
+    """A sparse exact linear system: rows of Gaussian-rational entries.
 
-    rows: int
-    cols: int
-    entries: tuple[Scalar, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        rows = [list(row) for row in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(row) != ncols for row in rows):
-            raise ValueError("ragged rows")
-        entries = tuple(Scalar.coerce(v) for row in rows for v in row)
-        return cls(nrows, ncols, entries)
-
-    def at(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[Scalar]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
-
-    def mul_vector(self, vector) -> list[Scalar]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            base = i * self.cols
-            for j, v in enumerate(vector):
-                if v:
-                    e = self.entries[base + j]
-                    if e:
-                        acc = acc + e * v
-            out.append(acc)
-        return out
-
-
-def nullspace(m: Matrix) -> list[list[Scalar]]:
-    """Exact basis of the kernel of ``m``; empty list iff the kernel is trivial.
-
-    Gaussian elimination with the first nonzero pivot in column order; the
-    returned vectors carry a 1 in their free coordinate, so they are
-    linearly independent by construction.
+    Rows are keyed by any hashable the caller picks and hold only their
+    nonzero entries; columns are ``0 .. cols - 1``.  ``rows`` counts the
+    rows that have at least one nonzero entry.
     """
-    work = m.row_lists()
-    nrows, ncols = m.rows, m.cols
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for k in range(r, nrows):
-            if work[k][c]:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        row = work[r]
-        if row[c] != ONE:
-            inv = row[c].inverse()
-            for j in range(c, ncols):
-                if row[j]:
-                    row[j] = row[j] * inv
-        for k in range(r + 1, nrows):
-            factor = work[k][c]
-            if not factor:
-                continue
-            target = work[k]
-            target[c] = ZERO
-            for j in range(c + 1, ncols):
-                rj = row[j]
-                if rj:
-                    target[j] = target[j] - factor * rj
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
+
+    __slots__ = ("cols", "_rows")
+
+    def __init__(self, cols: int):
+        if cols < 0:
+            raise ValueError("column count must be nonnegative")
+        self.cols = cols
+        self._rows: dict[object, dict[int, Scalar]] = {}
+
+    @property
+    def rows(self) -> int:
+        return len(self._rows)
+
+    def add(self, row_key, col: int, cf) -> None:
+        """Add ``cf`` to the entry at ``(row_key, col)``; entries that cancel are dropped."""
+        if not 0 <= col < self.cols:
+            raise IndexError(f"column {col} outside 0..{self.cols - 1}")
+        cf = Scalar.coerce(cf)
+        if not cf:
+            return
+        row = self._rows.setdefault(row_key, {})
+        prev = row.get(col)
+        total = cf if prev is None else prev + cf
+        if total:
+            row[col] = total
+        else:
+            del row[col]
+            if not row:
+                del self._rows[row_key]
+
+    def items(self):
+        """Each nonzero row as ``(row_key, {col: cf})``, copied."""
+        for key, row in self._rows.items():
+            yield key, dict(row)
+
+
+def nullspace(system: LinearSystem) -> list[list[Scalar]]:
+    """Exact basis of the kernel of ``system``; empty list iff the kernel is trivial.
+
+    Sparse Gaussian elimination: each row in turn is reduced by its leading
+    (lowest) column against the pivot rows until it vanishes or leads with
+    a column that has no pivot yet, where it becomes the pivot row of that
+    column.  Back-substitution then gives one vector per free column, with
+    1 on that column and 0 on the other free columns.  That basis depends
+    only on the row space, so row order, duplicate rows and scaled rows do
+    not change it.  ``system`` is left unchanged.
+    """
+    cols = system.cols
+    # pivot column -> entries of its pivot row right of the pivot, which is 1
+    pivots: dict[int, dict[int, Scalar]] = {}
+    for stored in system._rows.values():
+        if len(pivots) == cols:
             break
-    pivot_set = set(pivot_cols)
+        row = dict(stored)
+        while row:
+            lead = min(row)
+            factor = row.pop(lead)
+            tail = pivots.get(lead)
+            if tail is None:
+                if factor != ONE:
+                    inv = factor.inverse()
+                    row = {c: cf * inv for c, cf in row.items()}
+                pivots[lead] = row
+                break
+            for c, cf in tail.items():
+                prev = row.get(c)
+                if prev is None:
+                    row[c] = -(factor * cf)
+                else:
+                    total = prev - factor * cf
+                    if total:
+                        row[c] = total
+                    else:
+                        del row[c]
+    descending = sorted(pivots, reverse=True)
     basis: list[list[Scalar]] = []
-    for free in range(ncols):
-        if free in pivot_set:
+    for free in range(cols):
+        if free in pivots:
             continue
-        vec = [ZERO] * ncols
+        vec = [ZERO] * cols
         vec[free] = ONE
-        for i in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[i]
-            row = work[i]
+        for pc in descending:
+            if pc > free:
+                continue
             acc = ZERO
-            for j in range(pc + 1, ncols):
-                rj = row[j]
-                if rj and vec[j]:
-                    acc = acc + rj * vec[j]
+            for c, cf in pivots[pc].items():
+                v = vec[c]
+                if v:
+                    acc = acc + cf * v
             if acc:
                 vec[pc] = -acc
         basis.append(vec)

@@ -177,6 +177,11 @@ def test_hom_nullity_small_windows():
         assert equivariant_hom_nullity(Window(radius)) == 0
 
 
+@pytest.mark.parametrize("radius", range(9, 13))
+def test_hom_nullity_wide_windows(radius):
+    assert equivariant_hom_nullity(Window(radius)) == 0
+
+
 def test_hom_nullity_needs_radius_2():
     with pytest.raises(ValueError, match="radius"):
         equivariant_hom_nullity(Window(1))

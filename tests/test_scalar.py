@@ -4,7 +4,7 @@ import pytest
 
 from svlie.scalar import (
     I,
-    Matrix,
+    LinearSystem,
     ONE,
     ParseError,
     Scalar,
@@ -102,37 +102,113 @@ def test_codec_roundtrip_randomized():
         assert parse_scalar(format_scalar(x)) == x
 
 
+def system_of(rows, cols):
+    system = LinearSystem(cols)
+    for key, row in enumerate(rows):
+        for col, cf in enumerate(row):
+            system.add(key, col, cf)
+    return system
+
+
+def random_rows(rng, nrows, cols):
+    """Sparse random rows, some of them combinations of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.randint(0, 2) == 0:
+            a, b = rng.choice(rows), rng.choice(rows)
+            x, y = random_scalar(rng), random_scalar(rng)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            rows.append(
+                [random_scalar(rng) if rng.randint(0, 1) else ZERO for _ in range(cols)]
+            )
+    return rows
+
+
+def rank(system):
+    """Row rank: the number of nonzero rows minus the nullity of the transpose."""
+    rows = [row for _, row in system.items()]
+    transpose = LinearSystem(len(rows))
+    for i, row in enumerate(rows):
+        for col, cf in row.items():
+            transpose.add(col, i, cf)
+    return len(rows) - len(nullspace(transpose))
+
+
 def test_nullspace_invertible():
-    m = Matrix.from_rows([[1, 0], [0, 1]])
-    assert nullspace(m) == []
+    assert nullspace(system_of([[1, 0], [0, 1]], 2)) == []
 
 
 def test_nullspace_one_relation():
-    m = Matrix.from_rows([[1, -1]])
-    assert nullspace(m) == [[ONE, ONE]]
+    assert nullspace(system_of([[1, -1]], 2)) == [[ONE, ONE]]
+
+
+def test_nullspace_of_an_empty_system_is_the_unit_basis():
+    assert nullspace(LinearSystem(2)) == [[ONE, ZERO], [ZERO, ONE]]
+
+
+def test_add_that_cancels_drops_the_entry():
+    system = LinearSystem(2)
+    system.add("r", 0, q(1, 2))
+    system.add("r", 1, I)
+    system.add("r", 0, q(-1, 2))
+    assert dict(system.items()) == {"r": {1: I}}
+    system.add("r", 1, -I)
+    assert dict(system.items()) == {}
+
+
+def test_rows_counts_only_nonzero_rows():
+    system = LinearSystem(3)
+    assert system.rows == 0
+    system.add("a", 0, 1)
+    system.add("b", 2, 0)
+    system.add("c", 1, I)
+    system.add("c", 1, -I)
+    assert system.rows == 1
+    system.add("a", 1, 5)
+    assert system.rows == 1
+    system.add("d", 2, q(3, 4))
+    assert (system.rows, system.cols) == (2, 3)
 
 
 def test_nullspace_kernel_vectors_annihilate():
     rng = SplitMix64(5)
-    for _ in range(25):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = Matrix.from_rows(
-            [[random_scalar(rng) for _ in range(cols)] for _ in range(rows)]
-        )
-        kernel = nullspace(m)
+    for _ in range(40):
+        cols = rng.randint(1, 6)
+        system = system_of(random_rows(rng, rng.randint(0, 6), cols), cols)
+        kernel = nullspace(system)
         for vec in kernel:
-            assert m.mul_vector(vec) == [ZERO] * rows
-        if kernel:
-            # stacking the vectors as columns must leave a trivial kernel
-            transposed = Matrix.from_rows(
-                [[vec[i] for vec in kernel] for i in range(cols)]
-            )
-            assert nullspace(transposed) == []
+            assert len(vec) == cols
+            for _, row in system.items():
+                acc = ZERO
+                for col, cf in row.items():
+                    acc = acc + cf * vec[col]
+                assert acc == ZERO
+        # rank-nullity: no kernel vector is missing and none is extra
+        assert rank(system) + len(kernel) == cols
+        # the kernel vectors themselves are independent
+        assert rank(system_of(kernel, cols)) == len(kernel)
 
 
-def test_matrix_validation():
+def test_nullspace_is_repeatable_and_leaves_the_system_unchanged():
+    rng = SplitMix64(9)
+    for _ in range(20):
+        cols = rng.randint(1, 6)
+        system = system_of(random_rows(rng, rng.randint(1, 6), cols), cols)
+        before = list(system.items())
+        first = nullspace(system)
+        assert list(system.items()) == before
+        assert nullspace(system) == first
+        assert list(system.items()) == before
+
+
+def test_linear_system_validation():
     with pytest.raises(ValueError):
-        Matrix(2, 2, (ZERO,))
-    with pytest.raises(ValueError):
-        Matrix.from_rows([[1, 2], [3]])
+        LinearSystem(-1)
+    system = LinearSystem(2)
+    with pytest.raises(IndexError):
+        system.add("r", 2, ONE)
+    with pytest.raises(IndexError):
+        system.add("r", -1, ONE)
+    with pytest.raises(TypeError):
+        system.add("r", 0, 0.5)
