@@ -18,7 +18,6 @@ from .algebra import (
     bracket,
     bracket_basis,
     centralizer_window,
-    degree,
     exp_ad,
     format_element,
     jacobi_residual,

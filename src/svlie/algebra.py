@@ -30,7 +30,6 @@ __all__ = [
     "C",
     "ZERO_ELEMENT",
     "single",
-    "degree",
     "bracket",
     "bracket_basis",
     "exp_ad",
@@ -57,6 +56,7 @@ class BasisVector:
 
     @property
     def degree(self) -> int:
+        """Gradation degree: the index for L/Y/M, zero for C."""
         return 0 if self.kind == "C" else self.index
 
     def sort_key(self) -> tuple[int, int]:
@@ -79,11 +79,6 @@ def M(n: int) -> BasisVector:
 
 
 C = BasisVector("C")
-
-
-def degree(b: BasisVector) -> int:
-    """Gradation degree: the index for L/Y/M, zero for C."""
-    return b.degree
 
 
 class Element:

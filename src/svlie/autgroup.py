@@ -33,11 +33,10 @@ from .algebra import (
     Y,
     ZERO_ELEMENT,
     bracket,
-    bracket_basis,
     exp_ad,
     single,
 )
-from .derivations import WindowMap
+from .derivations import WindowMap, _bracket_violations
 from .scalar import ONE, Scalar, ZERO, format_scalar, parse_scalar
 
 __all__ = [
@@ -292,22 +291,8 @@ def invert(p: AutomorphismParams) -> AutomorphismParams:
 def is_automorphism_window(
     dmap: WindowMap,
 ) -> list[tuple[BasisVector, BasisVector, Element]]:
-    """Violations of m[x,y] = [m(x), m(y)] over comparable in-window pairs."""
-    window = dmap.window
-    gens = window.vectors()
-    violations = []
-    for i, x in enumerate(gens):
-        for y in gens[i + 1 :]:
-            xy = bracket_basis(x, y)
-            if not window.contains(xy):
-                continue
-            lhs = ZERO_ELEMENT
-            for bv, cf in xy.terms():
-                lhs = lhs + dmap.image(bv) * cf
-            residual = lhs - bracket(dmap.image(x), dmap.image(y))
-            if not residual.is_zero():
-                violations.append((x, y, residual))
-    return violations
+    """Violations of m[x,y] = [m(x), m(y)] over in-window pairs, with residuals."""
+    return _bracket_violations(dmap, lambda x, y: bracket(dmap.image(x), dmap.image(y)))
 
 
 def factorize(dmap: WindowMap) -> AutomorphismParams:

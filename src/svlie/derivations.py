@@ -140,52 +140,49 @@ def classified_window_map(deriv: ClassifiedDerivation, radius: int) -> WindowMap
 
 
 def degree0_window_map(params: DerivationParams, radius: int) -> WindowMap:
-    """The map of the degree-zero normal form with the given parameters."""
-
-    def image(bv: BasisVector) -> Element:
-        if bv.kind == "L":
-            return single(M(bv.index), params.d * bv.index + params.d1)
-        if bv.kind == "Y":
-            return single(Y(bv.index), params.g0)
-        if bv.kind == "M":
-            return single(M(bv.index), 2 * params.g0)
-        return ZERO_ELEMENT
-
-    return WindowMap.from_function(radius, image)
+    """The map of the degree-zero normal form: d1*R1 + d*R2 + g0*R3."""
+    return WindowMap.from_function(
+        radius, lambda bv: _outer_image(params.d1, params.d, params.g0, bv)
+    )
 
 
-def leibniz_check(dmap: WindowMap) -> list[tuple[BasisVector, BasisVector, Element]]:
-    """Violations of D[x,y] = [Dx,y] + [x,Dy] over comparable in-window pairs.
+def _bracket_violations(
+    dmap: WindowMap, rhs: Callable[[BasisVector, BasisVector], Element]
+) -> list[tuple[BasisVector, BasisVector, Element]]:
+    """Pairs x < y where m([x,y]) differs from rhs(x, y), with the residual.
 
-    A pair is compared only when [x,y] is supported inside the window and
-    the images of x, y and of every term of [x,y] stay inside the window;
-    pairs that escape are skipped, never guessed.
+    A pair of in-window generators is compared when, and only when, [x,y]
+    is supported inside the window.  Its left side then reads only the
+    stored images of in-window generators, wherever those images land.
     """
     window = dmap.window
     gens = window.vectors()
     violations = []
-    in_window_image = {bv: window.contains(dmap.image(bv)) for bv in gens}
     for i, x in enumerate(gens):
         for y in gens[i + 1 :]:
-            if not (in_window_image[x] and in_window_image[y]):
-                continue
             xy = bracket_basis(x, y)
             if not window.contains(xy):
                 continue
             lhs = ZERO_ELEMENT
-            comparable = True
             for bv, cf in xy.terms():
-                if not in_window_image[bv]:
-                    comparable = False
-                    break
                 lhs = lhs + dmap.image(bv) * cf
-            if not comparable:
-                continue
-            rhs = bracket(dmap.image(x), single(y)) + bracket(single(x), dmap.image(y))
-            residual = lhs - rhs
+            residual = lhs - rhs(x, y)
             if not residual.is_zero():
                 violations.append((x, y, residual))
     return violations
+
+
+def leibniz_check(dmap: WindowMap) -> list[tuple[BasisVector, BasisVector, Element]]:
+    """Violations of D[x,y] = [Dx,y] + [x,Dy] over in-window pairs.
+
+    Every pair x < y of window generators whose bracket [x,y] is supported
+    inside the window is compared, including pairs whose images leave it;
+    each violation comes with its residual D[x,y] - [Dx,y] - [x,Dy].
+    """
+    return _bracket_violations(
+        dmap,
+        lambda x, y: bracket(dmap.image(x), single(y)) + bracket(single(x), dmap.image(y)),
+    )
 
 
 def classify_degree0(dmap: WindowMap) -> DerivationParams:

@@ -14,7 +14,6 @@ from svlie.algebra import (
     bracket,
     bracket_basis,
     centralizer_window,
-    degree,
     exp_ad,
     jacobi_residual,
     single,
@@ -75,9 +74,9 @@ def test_centrality_window_8():
 
 
 def test_degree_examples():
-    assert degree(L(-4)) == -4
-    assert degree(C) == 0
-    assert degree(M(0)) == 0
+    assert L(-4).degree == -4
+    assert C.degree == 0
+    assert M(0).degree == 0
 
 
 def test_basis_vector_validation():

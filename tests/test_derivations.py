@@ -61,6 +61,16 @@ def test_leibniz_flags_non_derivation():
     assert leibniz_check(WindowMap.from_function(3, image)) != []
 
 
+def test_leibniz_compares_pairs_whose_images_leave_the_window():
+    # ad(Y[2]) sends L[3] to a multiple of Y[5], outside the radius-3 window;
+    # the pair (L[1], L[2]) brackets to L[3] and must still be compared
+    inner = classified_window_map(ClassifiedDerivation(inner=single(Y(2))), 3)
+    images = dict(inner.images)
+    images[L(3)] = images[L(3)] + single(M(3), 7)
+    violations = leibniz_check(WindowMap(inner.window, images))
+    assert (L(1), L(2), single(M(3), 7)) in violations
+
+
 def test_window_map_validation():
     with pytest.raises(ValueError):
         WindowMap(Window(2), {L(0): Element()})
