@@ -13,25 +13,29 @@ with the rightmost factor acting first, where
     flip:         X[n] -> -X[-n],  C -> -C
     inner_exp:    exp(ad(sum b_j Y[j] + sum c_k M[k])), finite support
 
-``compose`` and ``invert`` ship exact closed forms; the generator-wise
-composition oracle ``compose_oracle`` (apply one map after the other on
-every window generator, then refactorize) is the normative definition they
-are tested against.
+``compose`` and ``invert`` are exact and use no window.  Both move an inner
+exponent through a tail ``T`` (everything right of inner_exp) by
+``T . exp(ad x) . T^-1 = exp(ad T(x))``, and ``compose`` merges two inner
+exponents by the two-term Baker-Campbell-Hausdorff formula
+``exp(ad x) exp(ad y) = exp(ad(x + y + [x, y]/2))``, exact here because
+``[x, y]`` lies in the M span, which commutes with Y and M.  The
+generator-wise composition oracle ``compose_oracle`` (apply one map after
+the other on every window generator, then refactorize) is the normative
+definition they are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .algebra import (
     BasisVector,
-    C,
     Element,
     L,
     M,
     Y,
     ZERO_ELEMENT,
+    _HALF,
     bracket,
     exp_ad,
     single,
@@ -188,13 +192,24 @@ def _inner_argument(b: FiniteSupportSeq, c: FiniteSupportSeq) -> Element:
     return Element(terms)
 
 
+def _apply_tail(p: AutomorphismParams, x: Element) -> Element:
+    """The tail of ``p``: shear, kind scale, degree scale, flip; ignores b and c."""
+    out = _apply_shear(p.alpha, p.beta, p.gamma, x)
+    out = _apply_kind_scale(p.w, out)
+    out = _apply_degree_scale(p.u, out)
+    return _apply_flip(out) if p.i else out
+
+
+def _split_inner(xi: Element) -> tuple[dict[int, Scalar], dict[int, Scalar]]:
+    """The Y and M coefficients (b, c) of an inner exponent; M[0] is central, so dropped."""
+    b = {bv.index: cf for bv, cf in xi._terms.items() if bv.kind == "Y"}
+    c = {bv.index: cf for bv, cf in xi._terms.items() if bv.kind == "M" and bv.index}
+    return b, c
+
+
 def apply(params: AutomorphismParams, x: Element) -> Element:
     """Apply the automorphism: shear, kind scale, degree scale, flip, inner exp."""
-    out = _apply_shear(params.alpha, params.beta, params.gamma, x)
-    out = _apply_kind_scale(params.w, out)
-    out = _apply_degree_scale(params.u, out)
-    if params.i:
-        out = _apply_flip(out)
+    out = _apply_tail(params, x)
     argument = _inner_argument(params.b, params.c)
     if not argument.is_zero():
         out = exp_ad(argument, out)
@@ -208,13 +223,11 @@ def automorphism_window_map(params: AutomorphismParams, radius: int) -> WindowMa
 def compose(p: AutomorphismParams, q: AutomorphismParams) -> AutomorphismParams:
     """Parameters of apply(p, apply(q, .)); closed form of the generator-wise oracle.
 
-    Derivation sketch: conjugating q's inner exponent through p's tail
-    rescales and reindexes it (and the shear feeds 2*alpha*k*b' into the M
-    side); merging the two inner exponents picks up one exact commutator
-    term because [Y, Y] lands in the central-or-M span.  The remaining tail
-    factors commute up to the sign/scale twists below.
+    Moving q's inner exponent left through p's tail turns it into
+    eta = tail_p(xi_q); xi_p and eta then merge into
+    xi_p + eta + [xi_p, eta]/2.  The remaining tail factors commute up to
+    the sign/scale twists below.
     """
-    sp = -1 if p.i else 1
     sq = -1 if q.i else 1
     w_q_inv = q.w.inverse()
     i2 = (p.i + q.i) % 2
@@ -224,68 +237,26 @@ def compose(p: AutomorphismParams, q: AutomorphismParams) -> AutomorphismParams:
     beta2 = sq * p.beta * w_q_inv * w_q_inv + q.beta
     gamma2 = p.gamma * w_q_inv * w_q_inv + q.gamma
 
-    # q's inner exponent, conjugated through p's tail.
-    b_conj: dict[int, Scalar] = {}
-    c_conj: dict[int, Scalar] = {}
-    for jq, bq in q.b.items():
-        j = sp * jq
-        scale = sp * p.w * p.u**jq
-        b_conj[j] = scale * bq
-        c_conj[j] = p.w * scale * (2 * p.alpha * jq * bq)
-    for kq, cq in q.c.items():
-        k = sp * kq
-        prev = c_conj.get(k, ZERO)
-        c_conj[k] = prev + sp * p.w * p.w * p.u**kq * cq
-
-    b2: dict[int, Scalar] = dict(p.b.items())
-    for j, cf in b_conj.items():
-        b2[j] = b2.get(j, ZERO) + cf
-    c2: dict[int, Scalar] = dict(p.c.items())
-    for k, cf in c_conj.items():
-        c2[k] = c2.get(k, ZERO) + cf
-    for j, bj in p.b.items():
-        for jt, bt in b_conj.items():
-            k = j + jt
-            if k == 0 or not bt:
-                continue
-            c2[k] = c2.get(k, ZERO) + Fraction(k - 2 * j, 2) * bj * bt
-    return AutomorphismParams(
-        FiniteSupportSeq.of(b2),
-        FiniteSupportSeq.of(c2),
-        i2,
-        u2,
-        w2,
-        alpha2,
-        beta2,
-        gamma2,
-    )
+    xi_p = _inner_argument(p.b, p.c)
+    eta = _apply_tail(p, _inner_argument(q.b, q.c))
+    b2, c2 = _split_inner(xi_p + eta + bracket(xi_p, eta) * _HALF)
+    return AutomorphismParams(b2, c2, i2, u2, w2, alpha2, beta2, gamma2)
 
 
 def invert(p: AutomorphismParams) -> AutomorphismParams:
-    """Closed-form inverse; compose(p, invert(p)) == identity() == the flip."""
+    """Closed-form inverse; compose(p, invert(p)) == identity() == the flip.
+
+    The tail inverts factor by factor, and its inner exponent is
+    -tail^-1(xi) because tail^-1 . exp(-ad xi) = exp(-ad tail^-1(xi)) . tail^-1.
+    """
     s = -1 if p.i else 1
-    w_inv = p.w.inverse()
-    b_new: dict[int, Scalar] = {}
-    c_new: dict[int, Scalar] = {}
-    for m, bm in p.b.items():
-        pos = s * m
-        u_pow = p.u ** (-pos)
-        b_new[pos] = -s * w_inv * u_pow * bm
-        c_new[pos] = 2 * p.alpha * s * pos * w_inv * u_pow * bm
-    for m, cm in p.c.items():
-        pos = s * m
-        prev = c_new.get(pos, ZERO)
-        c_new[pos] = prev - s * w_inv * w_inv * p.u ** (-pos) * cm
-    return AutomorphismParams(
-        FiniteSupportSeq.of(b_new),
-        FiniteSupportSeq.of(c_new),
-        p.i,
-        p.u ** (-s),
-        w_inv,
-        -s * p.alpha * p.w,
-        -s * p.beta * p.w * p.w,
-        -p.gamma * p.w * p.w,
+    w2 = p.w * p.w
+    tail_inv = AutomorphismParams(
+        i=p.i, u=p.u ** (-s), w=p.w.inverse(),
+        alpha=-s * p.alpha * p.w, beta=-s * p.beta * w2, gamma=-p.gamma * w2,
     )
+    b, c = _split_inner(-_apply_tail(tail_inv, _inner_argument(p.b, p.c)))
+    return replace(tail_inv, b=b, c=c)
 
 
 def is_automorphism_window(
@@ -300,9 +271,12 @@ def factorize(dmap: WindowMap) -> AutomorphismParams:
 
     Extraction order: parity and w^2*u from the image of M[1]; w from the
     Y[0] image's Y coefficient; b from the Y components of the L[0] image;
-    alpha, beta, gamma from the images of Y[1], L[1], L[0]; c from the
-    residual M components of the L[0] image.  A full window sweep then
-    verifies the reconstruction and rejects anything else.
+    alpha from the M[s] coefficient of the Y[1] image, which the inner
+    factor never reaches.  Peeling exp(ad of the Y part) off the L[0]
+    image leaves s*L[0] + s*w^2*gamma*M[0] - s*sum_k k*c_k*M[k], which
+    gives gamma and c; peeling the whole inner factor off the L[1] image
+    leaves its tail image, whose M[s] coefficient gives beta.  A full
+    window sweep then verifies the reconstruction and rejects anything else.
     """
     if dmap.window.radius < 3:
         raise ValueError("factorize needs window radius >= 3")
@@ -336,32 +310,13 @@ def factorize(dmap: WindowMap) -> AutomorphismParams:
 
     alpha = s * dmap.image(Y(1)).coeff(M(s)) / (2 * w * w * u)
 
-    def pair_sum(k: int) -> Scalar:
-        # sum over j + j' = k of b_j b_j' (-j)(j - j')
-        acc = ZERO
-        for j, bj in b.items():
-            other = b.get(k - j)
-            if other is not None and k - j != 0:
-                acc = acc + Fraction(j * (k - 2 * j)) * bj * other
-        return acc
+    rest = exp_ad(-_inner_argument(b, {}), img_l0)
+    gamma = s * rest.coeff(M(0)) / (w * w)
+    c = {bv.index: -s * cf / bv.index for bv, cf in rest._terms.items()
+         if bv.kind == "M" and bv.index}
 
-    gamma = (s * img_l0.coeff(M(0)) - pair_sum(0) / 2) / (w * w)
-
-    c: dict[int, Scalar] = {}
-    candidates = {bv.index for bv in img_l0.support() if bv.kind == "M"}
-    candidates |= {j + jp for j in b for jp in b}
-    for k in sorted(candidates - {0}):
-        ck = (pair_sum(k) / 2 - s * img_l0.coeff(M(k))) / k
-        if ck:
-            c[k] = ck
-
-    half_s = Fraction(s, 2)
-    twist = ZERO
-    for j, bj in b.items():
-        other = b.get(-j)
-        if other is not None:
-            twist = twist + (half_s - j) * (s + 2 * j) * bj * other
-    beta = (s * dmap.image(L(1)).coeff(M(s)) / u - twist / 2) / (w * w) - alpha * alpha - gamma
+    tail_l1 = exp_ad(-_inner_argument(b, c), dmap.image(L(1)))
+    beta = s * tail_l1.coeff(M(s)) / (u * w * w) - alpha * alpha - gamma
 
     params = AutomorphismParams(b, c, parity, u, w, alpha, beta, gamma)
     for bv in dmap.window.vectors():

@@ -113,8 +113,9 @@ class WindowMap:
     images: Mapping[BasisVector, Element]
 
     def __post_init__(self) -> None:
-        required = set(self.window.vectors())
-        if set(self.images) != required:
+        # Count first, so a huge radius is rejected without enumerating its window.
+        count = 3 * (2 * self.window.radius + 1) + 1
+        if len(self.images) != count or set(self.images) != set(self.window.vectors()):
             raise ValueError("window map must define exactly the in-window basis vectors")
 
     @classmethod

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,15 @@ from svlie.autgroup import (
 from svlie.derivations import WindowMap
 from svlie.scalar import I, ONE, Scalar, ZERO
 from svlie.verify import SplitMix64, random_params
+
+
+# A Fraction-only bracket and automorphism action that imports nothing from
+# svlie, read as the independent reference for compose, invert and factorize.
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "svlie_reference_oracle", Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+)
+oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(oracle)
 
 
 def sc(num, den=1):
@@ -76,6 +87,12 @@ def test_compose_spot_checks():
     assert compose(FLIP, degree_scale(sc(2))) == AutomorphismParams(i=1, u=sc(2))
     assert compose(degree_scale(sc(2)), FLIP) == AutomorphismParams(i=1, u=sc(1, 2))
     assert compose(shear(1), shear(1)) == shear(2)
+    # [Y[1], Y[-1]] = -2*M[0] is central, so the merge drops it.
+    y1, ym1 = AutomorphismParams(b={1: ONE}), AutomorphismParams(b={-1: ONE})
+    assert compose(y1, ym1) == AutomorphismParams(b={1: ONE, -1: ONE})
+    assert compose(y1, AutomorphismParams(b={2: ONE})) == AutomorphismParams(
+        b={1: ONE, 2: ONE}, c={3: sc(1, 2)}
+    )
     rng = SplitMix64(61)
     for _ in range(20):
         p = random_params(rng)
@@ -105,6 +122,9 @@ def test_invert_spot_checks():
     assert invert(shear(1, 2, 3)) == shear(-1, -2, -3)
     xi = AutomorphismParams(b={1: ONE, -2: sc(3)}, c={2: sc(5)})
     assert invert(xi) == AutomorphismParams(b={1: -ONE, -2: sc(-3)}, c={2: sc(-5)})
+    assert invert(AutomorphismParams(b={1: ONE}, i=1, w=sc(2))) == AutomorphismParams(
+        b={-1: sc(1, 2)}, i=1, w=sc(1, 2)
+    )
 
 
 def test_invert_roundtrip_randomized():
@@ -251,3 +271,33 @@ def test_params_json_roundtrip():
     assert params_from_json(data) == p
     q = AutomorphismParams(u=I, w=ONE + I, beta=Scalar(2, -3))
     assert params_from_json(params_to_json(q)) == q
+
+
+def to_oracle(p):
+    def pair(v):
+        return (v.re, v.im)
+
+    out = {key: pair(getattr(p, key)) for key in ("u", "w", "alpha", "beta", "gamma")}
+    out["i"] = p.i
+    out["b"] = {j: pair(v) for j, v in p.b.items()}
+    out["c"] = {k: pair(v) for k, v in p.c.items()}
+    return out
+
+
+def from_oracle(x):
+    return Element([(BasisVector(*bv), Scalar(*cf)) for bv, cf in x.items()])
+
+
+def test_group_operations_agree_with_the_independent_oracle():
+    rng = SplitMix64(97)
+    gens = [{bv: oracle.ONE} for bv in oracle.window(3)]
+    for _ in range(30):
+        p, q = random_params(rng), random_params(rng)
+        op, oq = to_oracle(p), to_oracle(q)
+        pq, p_inv = to_oracle(compose(p, q)), to_oracle(invert(p))
+        for x in gens:
+            assert oracle.apply(pq, x) == oracle.apply(op, oracle.apply(oq, x))
+            assert oracle.apply(op, oracle.apply(p_inv, x)) == x
+            assert oracle.apply(p_inv, oracle.apply(op, x)) == x
+        images = {BasisVector(*bv): from_oracle(oracle.apply(op, x)) for x in gens for bv in x}
+        assert factorize(WindowMap(Window(3), images)) == p

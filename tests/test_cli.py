@@ -138,6 +138,15 @@ def test_boolean_radius_exits_2(tmp_path, capsys):
     assert "radius must be an integer" in err
 
 
+def test_window_map_with_a_huge_radius_is_rejected_before_enumerating(tmp_path, capsys):
+    m_file = tmp_path / "m.json"
+    m_file.write_text(json.dumps({"radius": 10**12, "images": {"C": "0"}}))
+    code, out, err = run(capsys, "factorize", str(m_file))
+    assert code == 2
+    assert out == ""
+    assert "window map must define exactly the in-window basis vectors" in err
+
+
 def test_verify_exit_status_and_determinism(capsys):
     code, out1, _ = run(
         capsys, "verify", "--suite", "center", "--radius", "3", "--format", "json"
