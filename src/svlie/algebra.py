@@ -39,20 +39,48 @@ __all__ = [
 ]
 
 _KIND_ORDER = {"L": 0, "Y": 1, "M": 2, "C": 3}
+_INTERNED: dict[tuple[str, int], "BasisVector"] = {}
 
 
-@dataclass(frozen=True)
 class BasisVector:
-    """One of L[n], Y[n], M[n] or the central C (which carries no index)."""
+    """One of L[n], Y[n], M[n] or the central C (which carries no index).
 
-    kind: str
-    index: int = 0
+    Interned: construction returns the one instance for each ``(kind, index)``,
+    so equality is identity.  Dict lookups and the ``bracket_basis`` cache then
+    use the built-in identity hash, where a generated ``__hash__`` and
+    ``__eq__`` would run in Python on every probe of the bracket loops.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "C" and self.index != 0:
+    __slots__ = ("kind", "index")
+
+    def __new__(cls, kind: str, index: int = 0) -> "BasisVector":
+        # bool is a subclass of int and 1.0 == 1: either would hit or seed the
+        # entry for the int index, so only an exact int may look it up
+        if index.__class__ is not int:
+            raise TypeError(f"basis index must be an int, not {index!r}")
+        interned = _INTERNED.get((kind, index))
+        if interned is not None:
+            return interned
+        if kind not in _KIND_ORDER:
+            raise ValueError(f"unknown basis kind {kind!r}")
+        if kind == "C" and index != 0:
             raise ValueError("C carries no index")
+        self = object.__new__(cls)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        return _INTERNED.setdefault((kind, index), self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable BasisVector")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable BasisVector")
+
+    def __reduce__(self):
+        return (BasisVector, (self.kind, self.index))
+
+    def __repr__(self) -> str:
+        return f"BasisVector(kind={self.kind!r}, index={self.index!r})"
 
     @property
     def degree(self) -> int:
@@ -228,13 +256,11 @@ def bracket(x: Element, y: Element) -> Element:
     acc: dict[BasisVector, Scalar] = {}
     for a, ca in x._terms.items():
         for b, cb in y._terms.items():
-            base = bracket_basis(a, b)
-            if base.is_zero():
+            base = bracket_basis(a, b)._terms
+            if not base:
                 continue
             scale = ca * cb
-            if not scale:
-                continue
-            for bv, cf in base._terms.items():
+            for bv, cf in base.items():
                 prev = acc.get(bv)
                 total = scale * cf if prev is None else prev + scale * cf
                 if total:

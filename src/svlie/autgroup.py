@@ -171,25 +171,25 @@ def _apply_kind_scale(w: Scalar, x: Element) -> Element:
         return x
     w2 = w * w
     scaled = {"L": ONE, "Y": w, "M": w2, "C": ONE}
-    return Element([(bv, cf * scaled[bv.kind]) for bv, cf in x._terms.items()])
+    return Element._wrap({bv: cf * scaled[bv.kind] for bv, cf in x._terms.items()})
 
 
 def _apply_degree_scale(u: Scalar, x: Element) -> Element:
     if u == ONE:
         return x
-    return Element([(bv, cf * u**bv.degree) for bv, cf in x._terms.items()])
+    return Element._wrap({bv: cf * u**bv.degree for bv, cf in x._terms.items()})
 
 
 def _apply_flip(x: Element) -> Element:
-    return Element(
-        [(BasisVector(bv.kind, -bv.index), -cf) for bv, cf in x._terms.items()]
+    return Element._wrap(
+        {BasisVector(bv.kind, -bv.index): -cf for bv, cf in x._terms.items()}
     )
 
 
 def _inner_argument(b: FiniteSupportSeq, c: FiniteSupportSeq) -> Element:
-    terms = [(Y(j), cf) for j, cf in b.items()]
-    terms += [(M(k), cf) for k, cf in c.items()]
-    return Element(terms)
+    terms = {Y(j): cf for j, cf in b.items()}
+    terms.update((M(k), cf) for k, cf in c.items())
+    return Element._wrap(terms)
 
 
 def _apply_tail(p: AutomorphismParams, x: Element) -> Element:

@@ -4,6 +4,7 @@
     term    := [scalar '*'] basis | scalar
     basis   := ('L'|'Y'|'M') '[' signed-integer ']' | 'C'
 
+A signed-integer is ASCII digits, at most as many as MAX_INDEX has.
 Whitespace is ignored between tokens, and a scalar coefficient must be
 parenthesized whenever its text contains '+' or '-'.  A bare scalar term is
 only meaningful when the scalar part of the whole expression cancels to
@@ -15,7 +16,7 @@ its exact inverse.
 from __future__ import annotations
 
 from .algebra import BasisVector, C, Element
-from .scalar import ParseError, Scalar, ZERO, _skip_ws, scan_scalar, scan_simple_scalar
+from .scalar import ParseError, Scalar, ZERO, _scan_digits, _skip_ws, scan_scalar, scan_simple_scalar
 
 __all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX"]
 
@@ -37,15 +38,11 @@ def _scan_basis(text: str, pos: int) -> tuple[BasisVector, int]:
         if text[pos] == "-":
             sign = -1
         pos = _skip_ws(text, pos + 1)
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError(start, "digit")
-    value = int(text[start:pos])
+    end = _scan_digits(text, pos, len(str(MAX_INDEX)))
+    value = int(text[pos:end])
     if value > MAX_INDEX:
-        raise ParseError(start, f"index within +/-{MAX_INDEX}")
-    pos = _skip_ws(text, pos)
+        raise ParseError(pos, f"index within +/-{MAX_INDEX}")
+    pos = _skip_ws(text, end)
     if pos >= len(text) or text[pos] != "]":
         raise ParseError(pos, "']'")
     return BasisVector(kind, sign * value), pos + 1
@@ -85,7 +82,7 @@ def parse_element(text: str) -> Element:
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError(pos, "')'")
             pos = _skip_ws(text, pos + 1)
-        elif ch.isdigit():
+        elif ch in "0123456789":
             coeff, pos = scan_simple_scalar(text, pos)
             pos = _skip_ws(text, pos)
         if coeff is not None:

@@ -257,26 +257,35 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _scan_unsigned_fraction(text: str, pos: int) -> tuple[Fraction, int]:
+# The longest numerator or denominator accepted, in decimal digits: int()
+# refuses longer strings under the interpreter's default conversion limit.
+_MAX_DIGITS = 4300
+
+
+def _scan_digits(text: str, pos: int, limit: int) -> int:
+    """End of the run of ASCII digits at ``pos``, which must hold 1 to ``limit``."""
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos] in "0123456789":
         pos += 1
     if pos == start:
         raise ParseError(start, "digit")
-    numerator = int(text[start:pos])
-    slash = _skip_ws(text, pos)
+    if pos - start > limit:
+        raise ParseError(start, f"at most {limit} digits")
+    return pos
+
+
+def _scan_unsigned_fraction(text: str, pos: int) -> tuple[Fraction, int]:
+    end = _scan_digits(text, pos, _MAX_DIGITS)
+    numerator = int(text[pos:end])
+    slash = _skip_ws(text, end)
     if slash < len(text) and text[slash] == "/":
         dstart = _skip_ws(text, slash + 1)
-        dpos = dstart
-        while dpos < len(text) and text[dpos].isdigit():
-            dpos += 1
-        if dpos == dstart:
-            raise ParseError(dstart, "digit")
+        dpos = _scan_digits(text, dstart, _MAX_DIGITS)
         denominator = int(text[dstart:dpos])
         if denominator == 0:
             raise ParseError(dstart, "nonzero denominator")
         return Fraction(numerator, denominator), dpos
-    return Fraction(numerator), pos
+    return Fraction(numerator), end
 
 
 def scan_scalar(text: str, pos: int = 0) -> tuple[Scalar, int]:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -84,6 +86,40 @@ def test_basis_vector_validation():
         BasisVector("C", 2)
     with pytest.raises(ValueError):
         BasisVector("X", 1)
+
+
+def test_basis_vectors_are_interned():
+    bv = L(3)
+    assert BasisVector("L", 3) is bv
+    assert pickle.loads(pickle.dumps(bv)) is bv
+    assert copy.copy(bv) is bv
+    assert copy.deepcopy(bv) is bv
+    assert repr(bv) == "BasisVector(kind='L', index=3)"
+    assert BasisVector("C") is C
+
+
+def test_basis_vector_is_immutable():
+    bv = Y(-2)
+    with pytest.raises(AttributeError):
+        bv.index = 5
+    with pytest.raises(AttributeError):
+        del bv.kind
+    assert Y(-2).index == -2 and str(Y(-2)) == "Y[-2]"
+
+
+@pytest.mark.parametrize(
+    "index, build_first",
+    [(True, True), (1.0, True), (Fraction(1), True), (7654321.0, False), (Fraction(7654322), False)],
+)
+def test_basis_vector_rejects_non_int_index(index, build_first):
+    # an equal non-int index must not be coerced by a hit on the int's entry,
+    # nor seed that entry on a miss (7654321 and 7654322 are built nowhere else)
+    n = int(index)
+    if build_first:
+        L(n)
+    with pytest.raises(TypeError):
+        BasisVector("L", index)
+    assert str(L(n)) == f"L[{n}]"
 
 
 def test_jacobi_examples():

@@ -43,6 +43,29 @@ def test_parse_error_exits_2(capsys):
     assert "offset 3" in err
 
 
+_LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("L[\u00b2]", 2),
+        ("\u00b2*L[1]", 0),
+        (f"{_LONG}*L[1]", 0),
+        (f"1/{_LONG}*L[1]", 2),
+        (f"L[{_LONG}]", 2),
+    ],
+    ids=["superscript-index", "superscript-coefficient", "long-numerator",
+         "long-denominator", "long-index"],
+)
+def test_hostile_numerals_exit_2(capsys, text, offset):
+    # '\u00b2'.isdigit() is true but int() rejects it, and int() refuses a
+    # 5000-digit string: both must be parse errors, caught before int() runs
+    code, _, err = run(capsys, "bracket", text, "L[2]")
+    assert code == 2
+    assert f"syntax error at offset {offset}:" in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bracket"])
