@@ -40,13 +40,11 @@ from .autgroup import (
 from .derivations import (
     ClassifiedDerivation,
     DerivationError,
-    DerivationParams,
     WindowMap,
     apply_classified,
     classified_window_map,
     classify_degree0,
     decompose,
-    degree0_window_map,
     equivariant_hom_nullity,
     leibniz_check,
     outer_independence_kernel,

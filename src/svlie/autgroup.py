@@ -41,7 +41,8 @@ from .algebra import (
     single,
 )
 from .derivations import WindowMap, _bracket_violations
-from .scalar import ONE, Scalar, ZERO, format_scalar, parse_scalar
+from .expr import MAX_INDEX
+from .scalar import ONE, ParseError, Scalar, ZERO, _scan_digits, format_scalar, parse_scalar
 
 __all__ = [
     "FactorizationError",
@@ -348,13 +349,25 @@ def params_to_json(p: AutomorphismParams) -> dict:
     }
 
 
+def _parse_position(key: str) -> int:
+    """A b/c position key: an optional '-' and 1 to 19 ASCII digits, within +/-MAX_INDEX."""
+    start = 1 if key.startswith("-") else 0
+    end = _scan_digits(key, start, len(str(MAX_INDEX)))
+    if end != len(key):
+        raise ParseError(end, "end of position")
+    value = int(key)
+    if abs(value) > MAX_INDEX:
+        raise ParseError(start, f"position within +/-{MAX_INDEX}")
+    return value
+
+
 def params_from_json(data: dict) -> AutomorphismParams:
     def seq(field: str) -> FiniteSupportSeq:
         raw = data.get(field, {})
         if not isinstance(raw, dict):
             raise ValueError(f"{field} must be an object of position -> scalar")
         return FiniteSupportSeq.of(
-            {int(key): parse_scalar(value) for key, value in raw.items()}
+            {_parse_position(key): parse_scalar(value) for key, value in raw.items()}
         )
 
     return AutomorphismParams(

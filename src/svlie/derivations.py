@@ -34,12 +34,10 @@ from .scalar import LinearSystem, ONE, Scalar, ZERO, format_scalar, nullspace, p
 
 __all__ = [
     "DerivationError",
-    "DerivationParams",
     "ClassifiedDerivation",
     "WindowMap",
     "apply_classified",
     "classified_window_map",
-    "degree0_window_map",
     "leibniz_check",
     "classify_degree0",
     "decompose",
@@ -54,20 +52,6 @@ __all__ = [
 
 class DerivationError(ValueError):
     """A window map fails one of the derivation classification contracts."""
-
-
-@dataclass(frozen=True)
-class DerivationParams:
-    """Degree-zero normal form: L[n] -> (d*n + d1) M[n], Y[n] -> g0 Y[n], M[n] -> 2 g0 M[n], C -> 0."""
-
-    d: Scalar
-    d1: Scalar
-    g0: Scalar
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", Scalar.coerce(self.d))
-        object.__setattr__(self, "d1", Scalar.coerce(self.d1))
-        object.__setattr__(self, "g0", Scalar.coerce(self.g0))
 
 
 @dataclass(frozen=True)
@@ -137,14 +121,10 @@ class WindowMap:
 
 def classified_window_map(deriv: ClassifiedDerivation, radius: int) -> WindowMap:
     """The exact (untruncated) action of a classified derivation on a window."""
+    if deriv.inner.is_zero():
+        c1, c2, c3 = deriv.c1, deriv.c2, deriv.c3
+        return WindowMap.from_function(radius, lambda bv: _outer_image(c1, c2, c3, bv))
     return WindowMap.from_function(radius, lambda bv: apply_classified(deriv, single(bv)))
-
-
-def degree0_window_map(params: DerivationParams, radius: int) -> WindowMap:
-    """The map of the degree-zero normal form: d1*R1 + d*R2 + g0*R3."""
-    return WindowMap.from_function(
-        radius, lambda bv: _outer_image(params.d1, params.d, params.g0, bv)
-    )
 
 
 def _bracket_violations(
@@ -186,8 +166,12 @@ def leibniz_check(dmap: WindowMap) -> list[tuple[BasisVector, BasisVector, Eleme
     )
 
 
-def classify_degree0(dmap: WindowMap) -> DerivationParams:
-    """Fit (d, d1, g0) of the degree-zero normal form and verify it everywhere.
+def classify_degree0(dmap: WindowMap) -> ClassifiedDerivation:
+    """Fit the degree-zero normal form d1*R1 + d*R2 + g0*R3 and verify it everywhere.
+
+    The normal form sends L[n] -> (d*n + d1) M[n], Y[n] -> g0 Y[n],
+    M[n] -> 2 g0 M[n] and C -> 0; it is returned as
+    ``ClassifiedDerivation(c1=d1, c2=d, c3=g0)`` with zero inner part.
 
     Raises DerivationError("not degree-0 into S: ...") when some image leaves
     the span of the same-index Y and M vectors, and ("not a derivation of the
@@ -204,12 +188,10 @@ def classify_degree0(dmap: WindowMap) -> DerivationParams:
     d1 = dmap.image(L(0)).coeff(M(0))
     d = dmap.image(L(1)).coeff(M(1)) - d1
     g0 = dmap.image(Y(0)).coeff(Y(0))
-    params = DerivationParams(d, d1, g0)
-    expected = degree0_window_map(params, window.radius)
     for bv in window.vectors():
-        if dmap.image(bv) != expected.image(bv):
+        if dmap.image(bv) != _outer_image(d1, d, g0, bv):
             raise DerivationError(f"not a derivation of the stated form: {bv}")
-    return params
+    return ClassifiedDerivation(d1, d, g0)
 
 
 def decompose(dmap: WindowMap) -> ClassifiedDerivation:

@@ -185,6 +185,15 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
             raise TypeError("scalar exponents must be integers")
+        n = abs(exponent)
+        # |a| | |b| | d has the bit length of the largest component
+        if n > 1 and n * (abs(self._a) | abs(self._b) | self._d).bit_length() > _MAX_POWER_BITS:
+            # 0, +-1 and +-i do not grow under powers; anything else does
+            if self._d != 1 or abs(self._a) + abs(self._b) > 1:
+                raise ValueError(
+                    f"scalar power too large: exponent {exponent} would take it past "
+                    f"{_MAX_POWER_BITS} bits"
+                )
         base = self
         if exponent < 0:
             base = self.inverse()
@@ -197,6 +206,11 @@ class Scalar:
             if exponent:
                 base = base * base
         return result
+
+
+# The largest power ``Scalar.__pow__`` builds, in bits of its largest
+# component, estimated as |exponent| times the base's largest bit length.
+_MAX_POWER_BITS = 1 << 14
 
 
 # Slot setters that bypass Scalar.__setattr__, for building new values.

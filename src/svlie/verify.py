@@ -40,12 +40,10 @@ from .autgroup import (
 from .derivations import (
     ClassifiedDerivation,
     DerivationError,
-    DerivationParams,
     WindowMap,
     classified_window_map,
     classify_degree0,
     decompose,
-    degree0_window_map,
     equivariant_hom_nullity,
     leibniz_check,
     outer_independence_kernel,
@@ -150,8 +148,10 @@ def random_classified(rng: SplitMix64, radius: int) -> ClassifiedDerivation:
     )
 
 
-def random_degree0(rng: SplitMix64) -> DerivationParams:
-    return DerivationParams(random_scalar(rng), random_scalar(rng), random_scalar(rng))
+def random_degree0(rng: SplitMix64) -> ClassifiedDerivation:
+    """The degree-zero normal form d1*R1 + d*R2 + g0*R3, drawing d, d1, g0 in that order."""
+    d, d1, g0 = random_scalar(rng), random_scalar(rng), random_scalar(rng)
+    return ClassifiedDerivation(c1=d1, c2=d, c3=g0)
 
 
 def _check(name: str, cases: int, witnesses: list[str]) -> dict:
@@ -223,10 +223,10 @@ def _derivation_checks(radius: int, seed: int, cases: int) -> list[dict]:
 
     witnesses = []
     for case in range(cases):
-        params = random_degree0(rng)
-        fitted = classify_degree0(degree0_window_map(params, wradius))
-        if fitted != params:
-            witnesses.append(f"case {case}: fitted {fitted} from {params}")
+        deriv = random_degree0(rng)
+        fitted = classify_degree0(classified_window_map(deriv, wradius))
+        if fitted != deriv:
+            witnesses.append(f"case {case}: fitted {fitted} from {deriv}")
     checks.append(_check("classify-roundtrip", cases, witnesses))
 
     witnesses = []
@@ -417,6 +417,22 @@ def _curated_pairs() -> list[tuple[AutomorphismParams, AutomorphismParams]]:
     return pairs
 
 
+def _relation(name: str, trials, text) -> dict:
+    """One verdict row; its witness is the first (p, q, printed, oracle) trial that disagrees."""
+    witness = None
+    for p, q, printed, oracle in trials:
+        if printed != oracle:
+            witness = {"p": params_to_json(p), "q": params_to_json(q),
+                       "printed": text(printed), "oracle": text(oracle)}
+            break
+    return {
+        "name": name,
+        "formula": _RELATION_FORMULAS[name],
+        "verdict": "AGREE" if witness is None else "DISAGREE",
+        "witness": witness,
+    }
+
+
 def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], list[dict]]:
     rng = SplitMix64(seed)
     pairs = _curated_pairs() + [
@@ -433,57 +449,30 @@ def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], lis
         oracle = compose_oracle(p, q, max(3, radius))
         if compose(p, q) != oracle:
             oracle_witnesses.append(f"p={params_to_json(p)} q={params_to_json(q)}")
-        results.append((p, q, oracle))
+        results.append((p, q, _candidate_components(p, q), oracle))
     checks = [_check("compose-matches-oracle-params", len(pairs), oracle_witnesses)]
 
-    relations = []
-    for name in ("w", "i", "u", "gamma", "alpha", "beta", "b", "c"):
-        witness = None
-        for p, q, oracle in results:
-            candidate = _candidate_components(p, q)[name]
-            actual = getattr(oracle, name)
-            if candidate != actual:
-                witness = {
-                    "p": params_to_json(p),
-                    "q": params_to_json(q),
-                    "printed": _component_text(name, candidate),
-                    "oracle": _component_text(name, actual),
-                }
-                break
-        relations.append(
-            {
-                "name": name,
-                "formula": _RELATION_FORMULAS[name],
-                "verdict": "AGREE" if witness is None else "DISAGREE",
-                "witness": witness,
-            }
+    relations = [
+        _relation(
+            name,
+            ((p, q, candidate[name], getattr(oracle, name)) for p, q, candidate, oracle in results),
+            lambda value, name=name: _component_text(name, value),
         )
+        for name in ("w", "i", "u", "gamma", "alpha", "beta", "b", "c")
+    ]
 
-    witness = None
-    for p, q in shear_pairs:
-        oracle = compose_oracle(p, q, max(3, radius))
-        predicted = (
-            p.alpha + q.alpha,
-            p.beta + q.beta,
-            p.gamma + q.gamma + 2 * p.alpha * q.alpha,
-        )
-        if (oracle.alpha, oracle.beta, oracle.gamma) != predicted:
-            witness = {
-                "p": params_to_json(p),
-                "q": params_to_json(q),
-                "printed": ", ".join(format_scalar(v) for v in predicted),
-                "oracle": ", ".join(
-                    format_scalar(v) for v in (oracle.alpha, oracle.beta, oracle.gamma)
-                ),
-            }
-            break
+    def shear_trials():
+        for p, q in shear_pairs:
+            oracle = compose_oracle(p, q, max(3, radius))
+            predicted = (
+                p.alpha + q.alpha,
+                p.beta + q.beta,
+                p.gamma + q.gamma + 2 * p.alpha * q.alpha,
+            )
+            yield p, q, predicted, (oracle.alpha, oracle.beta, oracle.gamma)
+
     relations.append(
-        {
-            "name": "delta-product",
-            "formula": _RELATION_FORMULAS["delta-product"],
-            "verdict": "AGREE" if witness is None else "DISAGREE",
-            "witness": witness,
-        }
+        _relation("delta-product", shear_trials(), lambda vs: ", ".join(map(format_scalar, vs)))
     )
     return checks, relations
 

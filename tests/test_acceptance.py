@@ -36,7 +36,6 @@ from svlie.derivations import (
     classified_window_map,
     classify_degree0,
     decompose,
-    degree0_window_map,
     equivariant_hom_nullity,
     leibniz_check,
     outer_independence_kernel,
@@ -126,8 +125,8 @@ def test_acceptance_5_degree0_classifier():
     rng = SplitMix64(77)
     ok = True
     for _ in range(50):
-        params = random_degree0(rng)
-        ok = ok and classify_degree0(degree0_window_map(params, 4)) == params
+        deriv = random_degree0(rng)
+        ok = ok and classify_degree0(classified_window_map(deriv, 4)) == deriv
     from svlie.derivations import DerivationError, WindowMap
     from svlie.algebra import Element as El
 

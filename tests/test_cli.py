@@ -9,7 +9,7 @@ from svlie.autgroup import (
     params_from_json,
     params_to_json,
 )
-from svlie.cli import main
+from svlie.cli import _build_parser, main
 from svlie.derivations import (
     ClassifiedDerivation,
     classified_to_json,
@@ -102,6 +102,45 @@ def test_apply_aut_and_compose_and_invert(tmp_path, capsys):
     assert composed == compose(p, p)
 
 
+def test_readme_params_example_loads(tmp_path, capsys):
+    p_file = tmp_path / "p.json"
+    p_file.write_text(
+        '{"b": {"1": "1/2", "-2": "3"}, "c": {}, "i": 0, "u": "2", "w": "1/3",'
+        ' "alpha": "1", "beta": "0", "gamma": "-2/5"}'
+    )
+    code, out, _ = run(capsys, "invert", "--format", "json", str(p_file))
+    assert code == 0
+    assert set(params_from_json(json.loads(out)).b.support()) == {-2, 1}
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["1_0", "\uff11", " 1 ", "1" * 20, "9" * 19, "+1", "", "-"],
+    ids=["underscore", "fullwidth", "spaces", "20-digits", "beyond-max-index",
+         "plus-sign", "empty", "bare-minus"],
+)
+def test_hostile_position_keys_exit_2(tmp_path, capsys, key):
+    # int() reads "1_0" as 10 and "\uff11" and " 1 " as 1
+    data = params_to_json(identity())
+    data["b"] = {key: "1"}
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "apply-aut", "--params", str(p_file), "L[0]")
+    assert code == 2
+    assert out == ""
+    assert "syntax error at offset" in err
+
+
+def test_oversized_power_exits_1_before_it_is_built(tmp_path, capsys):
+    # degree_scale(2) sends L[n] to 2^n L[n]; 2^(2^63 - 1) must not be attempted
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(params_to_json(AutomorphismParams(u=Scalar(2)))))
+    code, out, err = run(capsys, "apply-aut", "--params", str(p_file), "L[9223372036854775807]")
+    assert code == 1
+    assert out == ""
+    assert "scalar power too large" in err
+
+
 def test_apply_der(tmp_path, capsys):
     deriv = ClassifiedDerivation(c1=ONE)
     d_file = tmp_path / "d.json"
@@ -187,6 +226,23 @@ def test_verify_text_output(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "jacobi", "--radius", "2")
     assert code == 0
     assert out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--radius", "17"), ("--cases", "1001"), ("--cases", "0"), ("--radius", "1_6"),
+     ("--cases", "\uff11"), ("--radius", " 4")],
+)
+def test_verify_ceilings_exit_2(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", option, value])
+    assert exc.value.code == 2
+    assert "must be an integer from 1 to" in capsys.readouterr().err
+
+
+def test_verify_ceilings_admit_their_limits():
+    args = _build_parser().parse_args(["verify", "--radius", "16", "--cases", "1000"])
+    assert (args.radius, args.cases) == (16, 1000)
 
 
 def test_verify_rejects_bad_radius(capsys):

@@ -6,7 +6,6 @@ from svlie.algebra import C, Element, L, M, Window, Y, bracket, single
 from svlie.derivations import (
     ClassifiedDerivation,
     DerivationError,
-    DerivationParams,
     WindowMap,
     apply_classified,
     classified_from_json,
@@ -14,7 +13,6 @@ from svlie.derivations import (
     classified_window_map,
     classify_degree0,
     decompose,
-    degree0_window_map,
     equivariant_hom_nullity,
     leibniz_check,
     outer_independence_kernel,
@@ -80,21 +78,32 @@ def test_window_map_validation():
 
 
 def test_classify_degree0_roundtrip():
-    params = DerivationParams(3, Fraction(-1, 2), 2)
-    wmap = degree0_window_map(params, 6)
-    assert classify_degree0(wmap) == params
+    # d = 3, d1 = -1/2, g0 = 2: L[n] -> (3n - 1/2) M[n]
+    deriv = ClassifiedDerivation(c1=Fraction(-1, 2), c2=3, c3=2)
+    wmap = classified_window_map(deriv, 6)
+    assert wmap.image(L(2)) == single(M(2), Fraction(11, 2))
+    assert classify_degree0(wmap) == deriv
 
 
 def test_classify_degree0_zero_map():
-    zero = DerivationParams(0, 0, 0)
-    assert classify_degree0(degree0_window_map(zero, 4)) == zero
+    zero = ClassifiedDerivation()
+    assert classify_degree0(classified_window_map(zero, 4)) == zero
 
 
 def test_classify_degree0_roundtrip_randomized():
     rng = SplitMix64(47)
     for _ in range(50):
-        params = random_degree0(rng)
-        assert classify_degree0(degree0_window_map(params, 4)) == params
+        deriv = random_degree0(rng)
+        assert classify_degree0(classified_window_map(deriv, 4)) == deriv
+
+
+def test_classified_window_map_without_inner_part_matches_apply_classified():
+    rng = SplitMix64(53)
+    for _ in range(10):
+        deriv = random_degree0(rng)
+        wmap = classified_window_map(deriv, 3)
+        for bv in wmap.window.vectors():
+            assert wmap.image(bv) == apply_classified(deriv, single(bv))
 
 
 def test_classify_rejects_y_valued_family():

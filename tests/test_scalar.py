@@ -34,6 +34,27 @@ def test_negative_int_pow():
     assert ZERO**0 == ONE
 
 
+@pytest.mark.parametrize(
+    "base, exponent",
+    [(q(2), 2**63 - 1), (q(-1, 2), -(2**63)), (Scalar(1, 1), 16385), (q(2), 8193),
+     (q(2**20), 781)],
+)
+def test_oversized_power_is_refused_before_it_is_built(base, exponent):
+    # |exponent| times the base's largest bit length is over 2**14 bits;
+    # 2**(2**63 - 1) could never be built
+    with pytest.raises(ValueError, match="scalar power too large"):
+        base**exponent
+
+
+def test_power_bound_admits_units_zero_and_its_limit():
+    huge = 2**63 - 1
+    assert I**huge == -I and (-I) ** huge == I
+    assert (-ONE) ** huge == -ONE and ONE**-huge == ONE
+    assert ZERO**huge == ZERO
+    assert q(2) ** 8192 == Scalar(2**8192)
+    assert q(1, 2**20) ** -780 == Scalar(2**15600)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
