@@ -249,3 +249,40 @@ def test_verify_rejects_bad_radius(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--radius", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["1_0", " ７", "+1", "1" * 21, "", "-", "--1", "3 "])
+def test_verify_seed_is_ascii_digits_only(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "center", "--radius", "1", f"--seed={value}"])
+    assert exc.value.code == 2
+    assert "--seed: must be an optional '-' and 1 to 20 ASCII digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, seed", [("-3", -3), ("0", 0), ("9" * 20, 10**20 - 1)])
+def test_verify_seed_admits_signed_ascii_digits(capsys, value, seed):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "center", "--radius", "1", "--seed", value, "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["seed"] == seed
+
+
+def test_sequential_main_calls_share_no_state(capsys):
+    code, out, _ = run(capsys, "bracket", "--format", "json", "L[2]", "L[-2]")
+    assert (code, json.loads(out)) == (0, {"result": "-4*L[0] + 1/2*C"})
+    code, out, _ = run(capsys, "bracket", "L[2]", "L[-2]")
+    assert (code, out) == (0, "-4*L[0] + 1/2*C\n")
+
+    code, out, _ = run(capsys, "verify", "--suite", "center", "--radius", "3", "--format", "json")
+    assert (code, json.loads(out)["radius"]) == (0, 3)
+    code, out, _ = run(capsys, "verify", "--suite", "center", "--format", "json")
+    report = json.loads(out)
+    assert (code, report["radius"], report["seed"], report["cases"]) == (0, 4, 0, 100)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--radius", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "bracket", "L[-3]", "L[3]")
+    assert (code, out) == (0, "6*L[0] - 2*C\n")

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from svlie import algebra, verify
+from svlie.algebra import L, M, Window, Y, jacobi_residual, single
 from svlie.verify import SplitMix64, SUITES, render_text, run_suite
 
 
@@ -100,3 +102,59 @@ def test_all_suites_named():
         "lemma36-verdict",
         "all",
     }
+
+
+def _brute_force_jacobi(radius):
+    """The plain n**3 loop over ordered triples, as the report's reference."""
+    elems = [single(bv) for bv in Window(radius).vectors()]
+    witnesses = [
+        f"({x}, {y}, {z})"
+        for x in elems
+        for y in elems
+        for z in elems
+        if not jacobi_residual(x, y, z).is_zero()
+    ]
+    return {"cases": len(elems) ** 3, "violations": len(witnesses), "witnesses": witnesses[:3]}
+
+
+def _antisymmetric_corruption(a, b, table):
+    if (a, b) == (L(1), Y(2)):
+        return single(M(3))
+    if (a, b) == (Y(2), L(1)):
+        return -single(M(3))
+    return table(a, b)
+
+
+def _one_sided_corruption(a, b, table):
+    if (a, b) == (Y(2), L(1)):
+        return single(M(3), 5)
+    return table(a, b)
+
+
+@pytest.mark.parametrize("corruption", [_antisymmetric_corruption, _one_sided_corruption])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_jacobi_report_on_a_corrupted_table_matches_the_brute_force_loop(
+    monkeypatch, corruption, radius
+):
+    table = algebra.bracket_basis
+    monkeypatch.setattr(algebra, "bracket_basis", lambda a, b: corruption(a, b, table))
+    [check] = run_suite("jacobi", radius)["checks"]
+    expected = _brute_force_jacobi(radius)
+    assert {key: check[key] for key in expected} == expected
+    if radius > 1:
+        assert expected["violations"] > 0
+
+
+def test_jacobi_evaluates_one_residual_per_rotation_class(monkeypatch):
+    calls = []
+
+    def counted(x, y, z):
+        calls.append((x, y, z))
+        return jacobi_residual(x, y, z)
+
+    monkeypatch.setattr(verify, "jacobi_residual", counted)
+    [check] = run_suite("jacobi", 2)["checks"]
+    n = len(Window(2).vectors())
+    # n**3 ordered triples fall into n one-element classes and (n**3 - n) / 3 of three
+    assert check["cases"] == n**3
+    assert len(calls) == (n**3 + 2 * n) // 3
