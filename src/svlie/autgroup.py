@@ -13,6 +13,9 @@ with the rightmost factor acting first, where
     flip:         X[n] -> -X[-n],  C -> -C
     inner_exp:    exp(ad(sum b_j Y[j] + sum c_k M[k])), finite support
 
+The shear is computed as exp(ad 2*alpha*Y[0]) . (1 + gamma*R1 + beta*R2), R1 and R2
+being the outer derivation rules; its Y[0] factor is why b has no position 0.
+
 ``compose`` and ``invert`` are exact and use no window.  Both move an inner
 exponent through a tail ``T`` (everything right of inner_exp) by
 ``T . exp(ad x) . T^-1 = exp(ad T(x))``, and ``compose`` merges two inner
@@ -34,13 +37,12 @@ from .algebra import (
     L,
     M,
     Y,
-    ZERO_ELEMENT,
     _HALF,
     bracket,
     exp_ad,
     single,
 )
-from .derivations import WindowMap, _bracket_violations
+from .derivations import WindowMap, _apply_outer, _bracket_violations
 from .expr import MAX_INDEX
 from .scalar import ONE, ParseError, Scalar, ZERO, _scan_digits, format_scalar, parse_scalar
 
@@ -146,25 +148,11 @@ def identity() -> AutomorphismParams:
 
 
 def _apply_shear(alpha: Scalar, beta: Scalar, gamma: Scalar, x: Element) -> Element:
-    if not alpha and not beta and not gamma:
-        return x
-    out = ZERO_ELEMENT
-    for bv, cf in x._terms.items():
-        n = bv.index
-        if bv.kind == "L":
-            image = Element(
-                [
-                    (bv, ONE),
-                    (Y(n), alpha * n),
-                    (M(n), alpha * alpha * n * n + beta * n + gamma),
-                ]
-            )
-        elif bv.kind == "Y":
-            image = Element([(bv, ONE), (M(n), 2 * alpha * n)])
-        else:
-            image = single(bv)
-        out = out + image * cf
-    return out
+    if beta or gamma:
+        x = x + _apply_outer(gamma, beta, ZERO, x)
+    if alpha:
+        x = exp_ad(single(Y(0), 2 * alpha), x)
+    return x
 
 
 def _apply_kind_scale(w: Scalar, x: Element) -> Element:

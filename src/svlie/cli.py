@@ -13,7 +13,6 @@ import sys
 
 from .algebra import bracket, exp_ad, format_element
 from .autgroup import (
-    FactorizationError,
     compose,
     factorize,
     invert,
@@ -21,12 +20,7 @@ from .autgroup import (
     params_from_json,
     params_to_json,
 )
-from .derivations import (
-    DerivationError,
-    apply_classified,
-    classified_from_json,
-    window_map_from_json,
-)
+from .derivations import apply_classified, classified_from_json, window_map_from_json
 from .expr import parse_element
 from .scalar import ParseError, _scan_digits
 from .verify import SUITES, render_text, run_suite
@@ -44,6 +38,8 @@ def _load_json(path: str) -> dict:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise _InputError(f"{path}: expected a JSON object")
     return data
@@ -218,7 +214,7 @@ def main(argv=None) -> int:
     except (ParseError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FactorizationError, DerivationError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

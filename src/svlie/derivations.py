@@ -79,14 +79,19 @@ def _outer_image(c1: Scalar, c2: Scalar, c3: Scalar, bv: BasisVector) -> Element
     return ZERO_ELEMENT
 
 
-def apply_classified(deriv: ClassifiedDerivation, x: Element) -> Element:
-    """Linear extension of the classified rules plus the inner bracket action."""
-    out = bracket(deriv.inner, x)
-    for bv, cf in x.terms():
-        image = _outer_image(deriv.c1, deriv.c2, deriv.c3, bv)
+def _apply_outer(c1: Scalar, c2: Scalar, c3: Scalar, x: Element) -> Element:
+    """Linear extension of ``c1*R1 + c2*R2 + c3*R3``."""
+    out = ZERO_ELEMENT
+    for bv, cf in x._terms.items():
+        image = _outer_image(c1, c2, c3, bv)
         if not image.is_zero():
             out = out + image * cf
     return out
+
+
+def apply_classified(deriv: ClassifiedDerivation, x: Element) -> Element:
+    """Linear extension of the classified rules plus the inner bracket action."""
+    return bracket(deriv.inner, x) + _apply_outer(deriv.c1, deriv.c2, deriv.c3, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +317,8 @@ def window_map_from_json(data: dict) -> WindowMap:
     if type(radius) is not int:
         raise ValueError("radius must be an integer")
     raw = data["images"]
+    if not isinstance(raw, dict):
+        raise ValueError("images must be an object of basis vector -> element")
     images = {parse_basis_vector(key): parse_element(value) for key, value in raw.items()}
     return WindowMap(Window(radius), images)
 

@@ -61,6 +61,43 @@ def test_apply_examples():
     assert apply(FLIP, single(L(2))) == single(L(-2), -1)
 
 
+def _shear_closed_form(alpha, beta, gamma, x):
+    """The shear written out term by term from the autgroup module docstring."""
+    out = Element()
+    for bv, cf in x.terms():
+        n = bv.index
+        if bv.kind == "L":
+            image = Element(
+                [(L(n), 1), (Y(n), alpha * n), (M(n), alpha * alpha * n * n + beta * n + gamma)]
+            )
+        elif bv.kind == "Y":
+            image = Element([(Y(n), 1), (M(n), 2 * alpha * n)])
+        else:
+            image = single(bv)
+        out = out + image * cf
+    return out
+
+
+_SHEAR_INPUTS = [single(bv) for bv in Window(3).vectors()] + [
+    Element([(L(-2), 3), (Y(1), sc(1, 2)), (M(0), -1), (C, 2)]),
+    Element([(L(3), I), (L(-1), 1), (Y(-3), sc(-2, 3)), (Y(0), 5), (M(2), I)]),
+]
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, gamma",
+    [
+        (ZERO, ZERO, ZERO),
+        (ZERO, sc(2), sc(-3)),
+        (sc(3, 2), ZERO, ZERO),
+        (sc(1, 2) + I, sc(2) - I * sc(1, 3), sc(-5, 4) + 2 * I),
+    ],
+)
+def test_shear_matches_its_closed_form_on_every_kind(alpha, beta, gamma):
+    for x in _SHEAR_INPUTS:
+        assert apply(shear(alpha, beta, gamma), x) == _shear_closed_form(alpha, beta, gamma, x)
+
+
 def test_central_character():
     assert apply(identity(), single(C)) == single(C)
     assert apply(FLIP, single(C)) == single(C, -1)

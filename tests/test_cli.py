@@ -209,6 +209,32 @@ def test_window_map_with_a_huge_radius_is_rejected_before_enumerating(tmp_path, 
     assert "window map must define exactly the in-window basis vectors" in err
 
 
+@pytest.mark.parametrize("images", [[], "L[0]"])
+def test_non_object_images_exit_2(tmp_path, capsys, images):
+    m_file = tmp_path / "m.json"
+    m_file.write_text(json.dumps({"radius": 1, "images": images}))
+    code, out, err = run(capsys, "factorize", str(m_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "images must be an object of basis vector -> element" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("invert", "{path}"), ("factorize", "{path}"), ("apply-aut", "--params", "{path}", "L[0]")],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    # far deeper than any recursion limit the decoder could be running under
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *(arg.format(path=deep) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "nested too deeply" in err
+
+
 def test_verify_exit_status_and_determinism(capsys):
     code, out1, _ = run(
         capsys, "verify", "--suite", "center", "--radius", "3", "--format", "json"

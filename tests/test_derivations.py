@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from svlie.algebra import C, Element, L, M, Window, Y, bracket, single
+from svlie import algebra, derivations, scalar
+from svlie.algebra import C, Element, L, M, Window, Y, bracket, centralizer_window, single
 from svlie.derivations import (
     ClassifiedDerivation,
     DerivationError,
@@ -204,6 +205,33 @@ def test_hom_nullity_wide_windows(radius):
 def test_hom_nullity_needs_radius_2():
     with pytest.raises(ValueError, match="radius"):
         equivariant_hom_nullity(Window(1))
+
+
+@pytest.mark.parametrize(
+    "radius, centralizer, outer, hom",
+    [
+        (2, (126, 16, 14), (133, 19, 17), (122, 30, 30)),
+        (3, (264, 22, 20), (273, 25, 23), (322, 56, 56)),
+        (4, (446, 28, 26), (457, 31, 29), (692, 90, 90)),
+        (8, (1662, 52, 50), (1681, 55, 53), (4604, 306, 306)),
+    ],
+)
+def test_kernel_systems_keep_their_shapes(monkeypatch, radius, centralizer, outer, hom):
+    """(rows, cols, rank) of each assembled system: a kernel of 0 or a
+    centralizer basis survives an extra row, so only the shape shows one."""
+    shapes = []
+
+    def recording(system):
+        kernel = scalar.nullspace(system)
+        shapes.append((system.rows, system.cols, system.cols - len(kernel)))
+        return kernel
+
+    monkeypatch.setattr(algebra, "nullspace", recording)
+    monkeypatch.setattr(derivations, "nullspace", recording)
+    centralizer_window(Window(radius))
+    outer_independence_kernel(Window(radius))
+    equivariant_hom_nullity(Window(radius))
+    assert shapes == [centralizer, outer, hom]
 
 
 def test_window_map_json_roundtrip():
