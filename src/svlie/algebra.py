@@ -324,13 +324,21 @@ def _normalized(e: Element) -> Element:
     return e if lead == ONE else e * lead.inverse()
 
 
+def _constraint_system(cols, constraints) -> LinearSystem:
+    """Columns keyed by ``cols``, in order; each ``(test, col, image)`` adds
+    every term ``(v, cf)`` of ``image`` at row ``(test, v)``, column ``col``."""
+    index = {col: i for i, col in enumerate(cols)}
+    system = LinearSystem(len(index))
+    for test, col, image in constraints:
+        i = index[col]
+        for v, cf in image._terms.items():
+            system.add((test, v), i, cf)
+    return system
+
+
 def centralizer_window(window: Window) -> list[Element]:
     """Exact basis of the in-window vectors commuting with every in-window generator."""
     gens = window.vectors()
-    system = LinearSystem(len(gens))
-    for col, bv in enumerate(gens):
-        for g in gens:
-            for out_bv, cf in bracket_basis(bv, g)._terms.items():
-                system.add((g, out_bv), col, cf)
+    system = _constraint_system(gens, ((g, bv, bracket_basis(bv, g)) for bv in gens for g in gens))
     basis = [_normalized(Element(zip(gens, vec))) for vec in nullspace(system)]
     return sorted(basis, key=lambda e: e.terms()[0][0].sort_key())

@@ -44,7 +44,7 @@ from .algebra import (
 )
 from .derivations import WindowMap, _apply_outer, _bracket_violations
 from .expr import MAX_INDEX
-from .scalar import ONE, ParseError, Scalar, ZERO, _scan_digits, format_scalar, parse_scalar
+from .scalar import ONE, ParseError, Scalar, ZERO, _field_text, _scan_digits, format_scalar, parse_scalar
 
 __all__ = [
     "FactorizationError",
@@ -76,6 +76,9 @@ class FiniteSupportSeq:
     def __post_init__(self) -> None:
         last = None
         for pos, value in self.entries:
+            # bool is a subclass of int and 1.0 == 1, so test the type; never coerce
+            if type(pos) is not int:
+                raise TypeError(f"position must be an int, not {pos!r}")
             if pos == 0:
                 raise ValueError("position 0 is forbidden")
             if last is not None and pos <= last:
@@ -93,7 +96,7 @@ class FiniteSupportSeq:
         for pos, value in items:
             value = Scalar.coerce(value)
             if value:
-                clean[int(pos)] = value
+                clean[pos] = value
         return cls(tuple(sorted(clean.items())))
 
     def get(self, pos: int) -> Scalar:
@@ -350,21 +353,21 @@ def _parse_position(key: str) -> int:
 
 
 def params_from_json(data: dict) -> AutomorphismParams:
+    def scalar(field: str, value) -> Scalar:
+        return parse_scalar(_field_text(field, value, "a scalar"))
+
     def seq(field: str) -> FiniteSupportSeq:
         raw = data.get(field, {})
         if not isinstance(raw, dict):
             raise ValueError(f"{field} must be an object of position -> scalar")
         return FiniteSupportSeq.of(
-            {_parse_position(key): parse_scalar(value) for key, value in raw.items()}
+            {_parse_position(key): scalar(f"{field}[{key}]", value) for key, value in raw.items()}
         )
 
     return AutomorphismParams(
         seq("b"),
         seq("c"),
         data.get("i", 0),
-        parse_scalar(data["u"]),
-        parse_scalar(data["w"]),
-        parse_scalar(data.get("alpha", "0")),
-        parse_scalar(data.get("beta", "0")),
-        parse_scalar(data.get("gamma", "0")),
+        *(scalar(f, data[f]) for f in ("u", "w")),
+        *(scalar(f, data.get(f, "0")) for f in ("alpha", "beta", "gamma")),
     )

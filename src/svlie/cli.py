@@ -30,22 +30,20 @@ class _InputError(ValueError):
     """Malformed file or argument content; maps to exit status 2."""
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, decoder):
+    """``decoder`` applied to the JSON object in the file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise _InputError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # also not UTF-8, and an integer literal over Python's digit limit
+        raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _InputError(f"{path}: expected a JSON object")
-    return data
-
-
-def _decode(path: str, decoder, data: dict):
     try:
         return decoder(data)
     except (ParseError, KeyError, TypeError, ValueError) as exc:
@@ -74,32 +72,32 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_apply_aut(args) -> int:
-    params = _decode(args.params, params_from_json, _load_json(args.params))
+    params = _load(args.params, params_from_json)
     _emit_element(apply_automorphism(params, parse_element(args.expr)), args.format)
     return 0
 
 
 def _cmd_apply_der(args) -> int:
-    deriv = _decode(args.params, classified_from_json, _load_json(args.params))
+    deriv = _load(args.params, classified_from_json)
     _emit_element(apply_classified(deriv, parse_element(args.expr)), args.format)
     return 0
 
 
 def _cmd_compose(args) -> int:
-    p = _decode(args.p, params_from_json, _load_json(args.p))
-    q = _decode(args.q, params_from_json, _load_json(args.q))
+    p = _load(args.p, params_from_json)
+    q = _load(args.q, params_from_json)
     _emit_params(compose(p, q), args.format)
     return 0
 
 
 def _cmd_invert(args) -> int:
-    p = _decode(args.p, params_from_json, _load_json(args.p))
+    p = _load(args.p, params_from_json)
     _emit_params(invert(p), args.format)
     return 0
 
 
 def _cmd_factorize(args) -> int:
-    wmap = _decode(args.map, window_map_from_json, _load_json(args.map))
+    wmap = _load(args.map, window_map_from_json)
     _emit_params(factorize(wmap), args.format)
     return 0
 

@@ -6,8 +6,10 @@ outer rules act by
     R1: L[n] -> M[n]          R2: L[n] -> n M[n]
     R3: Y[n] -> Y[n], M[n] -> 2 M[n]
 
-and everything kills C.  The oracles below assemble exact linear systems
-over window-bounded unknowns and solve them with the exact kernel solver.
+and everything kills C.  The oracles below build exact linear systems over
+window-bounded unknowns with the one assembler ``algebra._constraint_system``,
+whose rows are keyed ``(test, basis vector)``, and solve them with the exact
+kernel solver.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from .algebra import (
     Window,
     Y,
     ZERO_ELEMENT,
+    _constraint_system,
     bracket,
     bracket_basis,
     format_element,
     single,
 )
 from .expr import parse_basis_vector, parse_element
-from .scalar import LinearSystem, ONE, Scalar, ZERO, format_scalar, nullspace, parse_scalar
+from .scalar import ONE, Scalar, ZERO, _field_text, format_scalar, nullspace, parse_scalar
 
 __all__ = [
     "DerivationError",
@@ -244,63 +247,51 @@ def outer_independence_kernel(
     and z central.
     """
     gens = window.vectors()
-    system = LinearSystem(3 + len(gens))
-    for g in gens:
-        for col, rule in enumerate(
-            (
-                _outer_image(ONE, ZERO, ZERO, g),
-                _outer_image(ZERO, ONE, ZERO, g),
-                _outer_image(ZERO, ZERO, ONE, g),
-            )
-        ):
-            for out_bv, cf in rule.terms():
-                system.add((g, out_bv), col, cf)
-        for zcol, zbv in enumerate(gens):
-            for out_bv, cf in bracket_basis(zbv, g).terms():
-                system.add((g, out_bv), 3 + zcol, -cf)
-    kernel = nullspace(system)
-    out = []
-    for vec in kernel:
-        z = Element(zip(gens, vec[3:]))
-        out.append((vec[0], vec[1], vec[2], z))
-    return out
+    units = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
+
+    def constraints():
+        for g in gens:
+            for unit in units:
+                yield g, unit, _outer_image(*unit, g)
+            for z in gens:
+                yield g, z, -bracket_basis(z, g)
+
+    kernel = nullspace(_constraint_system((*units, *gens), constraints()))
+    return [(vec[0], vec[1], vec[2], Element(zip(gens, vec[3:]))) for vec in kernel]
 
 
 def equivariant_hom_nullity(window: Window) -> int:
     """Kernel dimension of the windowed equivariance constraints for maps
     sending Y-classes into the Virasoro part; the contract is 0.
 
-    Unknowns are the in-window coefficients of f(Y[n]) = sum_k p[n,k] L[k]
-    + c[n] C; for every in-window pair (m, n) with m+n also in-window the
-    constraint f([L[m], Y[n]]) = [L[m], f(Y[n])] is expanded exactly, with
-    out-of-window components of the codomain still constraining the
-    in-window unknowns.
+    The unknown column ``(Y[n], t)`` is the coefficient of t in f(Y[n]), for t
+    in L[-r..r] and C.  Each in-window pair (m, n) with m+n in-window gives the
+    constraint f([L[m], Y[n]]) = [L[m], f(Y[n])], expanded exactly: codomain
+    components outside the window still constrain the in-window unknowns.
     """
     radius = window.radius
     if radius < 2:
         raise ValueError("equivariant_hom_nullity needs window radius >= 2")
     span = range(-radius, radius + 1)
-    index: dict[tuple, int] = {}
-    for n in span:
-        for k in span:
-            index[("p", n, k)] = len(index)
-    for n in span:
-        index[("c", n)] = len(index)
+    ls = [L(k) for k in span]
+    targets = (*ls, C)
 
-    system = LinearSystem(len(index))
-    for m in span:
-        for n in span:
-            if abs(m + n) > radius:
-                continue
-            action = bracket_basis(L(m), Y(n)).coeff(Y(m + n))
-            for k in span:
-                for bv, cf in bracket_basis(L(m), L(k)).terms():
-                    system.add((m, n, bv), index[("p", n, k)], cf)
-            if action:
-                for j in span:
-                    system.add((m, n, L(j)), index[("p", m + n, j)], -action)
-                system.add((m, n, C), index[("c", m + n)], -action)
-    return len(nullspace(system))
+    def constraints():
+        for m in span:
+            for n in span:
+                if abs(m + n) > radius:
+                    continue
+                test, lm, yn, ymn = (m, n), L(m), Y(n), Y(m + n)
+                for lk in ls:
+                    yield test, (yn, lk), bracket_basis(lm, lk)
+                action = bracket_basis(lm, yn).coeff(ymn)
+                if action:
+                    neg = -action
+                    for t in targets:
+                        yield test, (ymn, t), single(t, neg)
+
+    cols = [(Y(n), t) for n in span for t in targets]
+    return len(nullspace(_constraint_system(cols, constraints())))
 
 
 def window_map_to_json(dmap: WindowMap) -> dict:
@@ -319,7 +310,10 @@ def window_map_from_json(data: dict) -> WindowMap:
     raw = data["images"]
     if not isinstance(raw, dict):
         raise ValueError("images must be an object of basis vector -> element")
-    images = {parse_basis_vector(key): parse_element(value) for key, value in raw.items()}
+    images = {
+        parse_basis_vector(key): parse_element(_field_text(f"images[{key}]", value, "an element"))
+        for key, value in raw.items()
+    }
     return WindowMap(Window(radius), images)
 
 
@@ -334,8 +328,6 @@ def classified_to_json(deriv: ClassifiedDerivation) -> dict:
 
 def classified_from_json(data: dict) -> ClassifiedDerivation:
     return ClassifiedDerivation(
-        parse_scalar(data["c1"]),
-        parse_scalar(data["c2"]),
-        parse_scalar(data["c3"]),
-        parse_element(data["inner"]),
+        *(parse_scalar(_field_text(f, data[f], "a scalar")) for f in ("c1", "c2", "c3")),
+        parse_element(_field_text("inner", data["inner"], "an element")),
     )

@@ -281,6 +281,15 @@ def test_finite_support_seq_invariants():
         FiniteSupportSeq.of({0: ONE})
 
 
+@pytest.mark.parametrize("field, mapping", [("b", {1.5: 1}), ("b", {True: 1}), ("c", {"3": 1})])
+def test_positions_are_exact_ints(field, mapping):
+    """A float, a bool or a digit string is refused, not read as int(pos)."""
+    with pytest.raises(TypeError, match="position must be an int"):
+        AutomorphismParams(**{field: mapping})
+    with pytest.raises(TypeError, match="position must be an int"):
+        FiniteSupportSeq(((next(iter(mapping)), ONE),))
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AutomorphismParams(u=ZERO)

@@ -235,6 +235,43 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"u": ' + b"1" * 5000 + b', "w": "1"}', b'{"u": "1", "w": "1"}\xff'],
+    ids=["integer-over-the-digit-limit", "not-utf-8"],
+)
+def test_undecodable_file_exits_2_and_names_it(tmp_path, capsys, content):
+    p_file = tmp_path / "p.json"
+    p_file.write_bytes(content)
+    code, out, err = run(capsys, "invert", str(p_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {p_file}: invalid JSON: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["invert"], '{"u": 1e999, "w": "1"}', "u: expected a scalar string, not float"),
+        (["invert"], '{"u": NaN, "w": "1"}', "u: expected a scalar string, not float"),
+        (["invert"], '{"u": 2, "w": "1"}', "u: expected a scalar string, not int"),
+        (["apply-der", "L[0]", "--params"], '{"c1": 1, "c2": "0", "c3": "0", "inner": "0"}',
+         "c1: expected a scalar string, not int"),
+        (["factorize"], '{"radius": 1, "images": {"L[0]": 5}}',
+         "images[L[0]]: expected an element string, not int"),
+    ],
+    ids=["u-infinity", "u-nan", "u-int", "c1-int", "image-int"],
+)
+def test_non_string_field_exits_2_and_names_it(tmp_path, capsys, argv, content, message):
+    j_file = tmp_path / "f.json"
+    j_file.write_text(content)
+    code, out, err = run(capsys, *argv, str(j_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {j_file}: {message}\n"
+
+
 def test_verify_exit_status_and_determinism(capsys):
     code, out1, _ = run(
         capsys, "verify", "--suite", "center", "--radius", "3", "--format", "json"

@@ -192,6 +192,15 @@ def test_outer_independence_radius_3_and_4():
             assert z.support() <= {M(0), C}
 
 
+@pytest.mark.parametrize("radius", range(1, 5))
+def test_outer_independence_basis_is_exact(radius):
+    """The basis follows the column order R1, R2, R3, then the window generators."""
+    assert outer_independence_kernel(Window(radius)) == [
+        (ZERO, ZERO, ZERO, single(M(0))),
+        (ZERO, ZERO, ZERO, single(C)),
+    ]
+
+
 def test_hom_nullity_small_windows():
     for radius in (2, 3, 4):
         assert equivariant_hom_nullity(Window(radius)) == 0
