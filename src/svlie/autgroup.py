@@ -43,7 +43,7 @@ from .algebra import (
     single,
 )
 from .derivations import WindowMap, _apply_outer, _bracket_violations
-from .expr import MAX_INDEX
+from .expr import MAX_INDEX, _MAX_TERMS
 from .scalar import ONE, ParseError, Scalar, ZERO, _field_text, _scan_digits, format_scalar, parse_scalar
 
 __all__ = [
@@ -67,6 +67,14 @@ class FactorizationError(ValueError):
     """A window map is not an automorphism of the canonical shape."""
 
 
+def _check_position(pos) -> None:
+    # bool is a subclass of int and 1.0 == 1, so test the type; never coerce
+    if type(pos) is not int:
+        raise TypeError(f"position must be an int, not {pos!r}")
+    if pos == 0:
+        raise ValueError("position 0 is forbidden")
+
+
 @dataclass(frozen=True)
 class FiniteSupportSeq:
     """Finitely supported sequence over nonzero integer positions."""
@@ -76,11 +84,7 @@ class FiniteSupportSeq:
     def __post_init__(self) -> None:
         last = None
         for pos, value in self.entries:
-            # bool is a subclass of int and 1.0 == 1, so test the type; never coerce
-            if type(pos) is not int:
-                raise TypeError(f"position must be an int, not {pos!r}")
-            if pos == 0:
-                raise ValueError("position 0 is forbidden")
+            _check_position(pos)
             if last is not None and pos <= last:
                 raise ValueError("entries must be sorted by position")
             if not isinstance(value, Scalar) or not value:
@@ -94,6 +98,8 @@ class FiniteSupportSeq:
         items = mapping.items() if isinstance(mapping, dict) else mapping
         clean = {}
         for pos, value in items:
+            # check the position before a zero value is dropped
+            _check_position(pos)
             value = Scalar.coerce(value)
             if value:
                 clean[pos] = value
@@ -150,34 +156,6 @@ def identity() -> AutomorphismParams:
     return AutomorphismParams()
 
 
-def _apply_shear(alpha: Scalar, beta: Scalar, gamma: Scalar, x: Element) -> Element:
-    if beta or gamma:
-        x = x + _apply_outer(gamma, beta, ZERO, x)
-    if alpha:
-        x = exp_ad(single(Y(0), 2 * alpha), x)
-    return x
-
-
-def _apply_kind_scale(w: Scalar, x: Element) -> Element:
-    if w == ONE:
-        return x
-    w2 = w * w
-    scaled = {"L": ONE, "Y": w, "M": w2, "C": ONE}
-    return Element._wrap({bv: cf * scaled[bv.kind] for bv, cf in x._terms.items()})
-
-
-def _apply_degree_scale(u: Scalar, x: Element) -> Element:
-    if u == ONE:
-        return x
-    return Element._wrap({bv: cf * u**bv.degree for bv, cf in x._terms.items()})
-
-
-def _apply_flip(x: Element) -> Element:
-    return Element._wrap(
-        {BasisVector(bv.kind, -bv.index): -cf for bv, cf in x._terms.items()}
-    )
-
-
 def _inner_argument(b: FiniteSupportSeq, c: FiniteSupportSeq) -> Element:
     terms = {Y(j): cf for j, cf in b.items()}
     terms.update((M(k), cf) for k, cf in c.items())
@@ -185,11 +163,30 @@ def _inner_argument(b: FiniteSupportSeq, c: FiniteSupportSeq) -> Element:
 
 
 def _apply_tail(p: AutomorphismParams, x: Element) -> Element:
-    """The tail of ``p``: shear, kind scale, degree scale, flip; ignores b and c."""
-    out = _apply_shear(p.alpha, p.beta, p.gamma, x)
-    out = _apply_kind_scale(p.w, out)
-    out = _apply_degree_scale(p.u, out)
-    return _apply_flip(out) if p.i else out
+    """The tail of ``p``, everything right of inner_exp; ignores b and c.
+
+    After the shear, flip, degree scale and kind scale act in one pass as
+    X[n] -> s * w^k * u^n * X[s*n] with s = (-1)^i and k = 0, 1, 2, 0 for
+    L, Y, M, C.  Each factor equal to 1 is skipped.
+    """
+    if p.beta or p.gamma:
+        x = x + _apply_outer(p.gamma, p.beta, ZERO, x)
+    if p.alpha:
+        x = exp_ad(single(Y(0), 2 * p.alpha), x)
+    kind_factor = {} if p.w == ONE else {"Y": p.w, "M": p.w * p.w}
+    scale_degree = p.u != ONE
+    if not (p.i or kind_factor or scale_degree):
+        return x
+    terms = {}
+    for bv, cf in x._terms.items():
+        if bv.kind in kind_factor:
+            cf = cf * kind_factor[bv.kind]
+        if scale_degree and bv.index:
+            cf = cf * p.u**bv.index
+        if p.i:
+            bv, cf = BasisVector(bv.kind, -bv.index), -cf
+        terms[bv] = cf
+    return Element._wrap(terms)
 
 
 def _split_inner(xi: Element) -> tuple[dict[int, Scalar], dict[int, Scalar]]:
@@ -360,6 +357,8 @@ def params_from_json(data: dict) -> AutomorphismParams:
         raw = data.get(field, {})
         if not isinstance(raw, dict):
             raise ValueError(f"{field} must be an object of position -> scalar")
+        if len(raw) > _MAX_TERMS:
+            raise ValueError(f"{field} has {len(raw)} entries, over the limit of {_MAX_TERMS}")
         return FiniteSupportSeq.of(
             {_parse_position(key): scalar(f"{field}[{key}]", value) for key, value in raw.items()}
         )

@@ -46,7 +46,10 @@ def _load(path: str, decoder):
         raise _InputError(f"{path}: expected a JSON object")
     try:
         return decoder(data)
-    except (ParseError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        # every required field is top-level, so the file names the object
+        raise _InputError(f"{path}: missing field {exc.args[0]!r}") from exc
+    except (ParseError, TypeError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 

@@ -14,7 +14,7 @@ kernel solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .algebra import (
@@ -209,9 +209,8 @@ def decompose(dmap: WindowMap) -> ClassifiedDerivation:
     component of a derivation applied to L[0] equals -n * z_n); the L[0] and
     Y[0] coefficients of z come from the residual image of L[1]; the central
     ambiguity of the inner representative is fixed by leaving the M[0] and C
-    coefficients of z at zero.  Raises DerivationError("residual not in
-    classified span: ...") when the reconstruction disagrees with the map on
-    some window generator.
+    coefficients of z at zero.  ``classify_degree0`` then fits the rest D - ad(z);
+    a failed fit raises DerivationError("residual not in classified span: " + its message).
     """
     window = dmap.window
     if window.radius < 3:
@@ -220,21 +219,16 @@ def decompose(dmap: WindowMap) -> ClassifiedDerivation:
     z = Element(
         [(bv, -cf / bv.degree) for bv, cf in img_l0.terms() if bv.degree != 0]
     )
-    residual_l0 = img_l0 - bracket(z, single(L(0)))
-    c1 = residual_l0.coeff(M(0))
-    if residual_l0 != single(M(0), c1):
-        raise DerivationError("residual not in classified span: L[0]")
     residual_l1 = dmap.image(L(1)) - bracket(z, single(L(1)))
     a = residual_l1.coeff(L(1))
     b = 2 * residual_l1.coeff(Y(1))
-    c2 = residual_l1.coeff(M(1)) - c1
     z = z + Element([(L(0), a), (Y(0), b)])
-    c3 = (dmap.image(Y(0)) - bracket(z, single(Y(0)))).coeff(Y(0))
-    result = ClassifiedDerivation(c1, c2, c3, z)
-    for bv in window.vectors():
-        if dmap.image(bv) != apply_classified(result, single(bv)):
-            raise DerivationError(f"residual not in classified span: {bv}")
-    return result
+    rest = WindowMap.from_function(window.radius, lambda bv: dmap.image(bv) - bracket(z, single(bv)))
+    try:
+        outer = classify_degree0(rest)
+    except DerivationError as exc:
+        raise DerivationError(f"residual not in classified span: {exc}") from exc
+    return replace(outer, inner=z)
 
 
 def outer_independence_kernel(

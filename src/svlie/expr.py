@@ -23,6 +23,10 @@ __all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX"]
 # Basis indices are capped to a machine range even though Python integers
 # are unbounded; wildly large indices are always a typo.
 MAX_INDEX = 2**63 - 1
+# Terms of a parsed element, and entries of an automorphism's b or c.  The
+# bracket of two sums is quadratic in their terms, so one command then runs
+# at most 256^2 basis brackets.
+_MAX_TERMS = 256
 
 
 def _scan_basis(text: str, pos: int) -> tuple[BasisVector, int]:
@@ -63,6 +67,7 @@ def parse_basis_vector(text: str) -> BasisVector:
 def parse_element(text: str) -> Element:
     """Parse an element expression; exact inverse of the canonical printer."""
     terms: list[tuple[BasisVector, Scalar]] = []
+    parsed = 0
     loose = ZERO
     loose_offset = -1
     pos = _skip_ws(text, 0)
@@ -106,6 +111,9 @@ def parse_element(text: str) -> Element:
             break
         if text[pos] not in "+-":
             raise ParseError(pos, "'+', '-' or end of element")
+        parsed += 1
+        if parsed == _MAX_TERMS:
+            raise ParseError(pos, f"end of element (at most {_MAX_TERMS} terms)")
         sign = -1 if text[pos] == "-" else 1
         pos = _skip_ws(text, pos + 1)
     if loose:

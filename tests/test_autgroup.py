@@ -98,6 +98,24 @@ def test_shear_matches_its_closed_form_on_every_kind(alpha, beta, gamma):
         assert apply(shear(alpha, beta, gamma), x) == _shear_closed_form(alpha, beta, gamma, x)
 
 
+def _scalings_closed_form(i, u, w, x):
+    """flip^i . degree_scale(u) . kind_scale(w), one docstring rule after another."""
+    kind_power = {"L": 0, "Y": 1, "M": 2, "C": 0}
+    x = Element([(bv, cf * w ** kind_power[bv.kind]) for bv, cf in x.terms()])
+    x = Element([(bv, cf * u**bv.degree) for bv, cf in x.terms()])
+    if i:
+        x = Element([(BasisVector(bv.kind, -bv.index), -cf) for bv, cf in x.terms()])
+    return x
+
+
+@pytest.mark.parametrize("i", [0, 1])
+@pytest.mark.parametrize("u", [ONE, sc(-2, 3) + I])
+@pytest.mark.parametrize("w", [ONE, sc(-1), sc(3, 2) - 2 * I])
+def test_flip_degree_and_kind_scale_match_their_closed_form(i, u, w):
+    for x in _SHEAR_INPUTS:
+        assert apply(AutomorphismParams(i=i, u=u, w=w), x) == _scalings_closed_form(i, u, w, x)
+
+
 def test_central_character():
     assert apply(identity(), single(C)) == single(C)
     assert apply(FLIP, single(C)) == single(C, -1)
@@ -288,6 +306,16 @@ def test_positions_are_exact_ints(field, mapping):
         AutomorphismParams(**{field: mapping})
     with pytest.raises(TypeError, match="position must be an int"):
         FiniteSupportSeq(((next(iter(mapping)), ONE),))
+
+
+@pytest.mark.parametrize(
+    "mapping, error",
+    [({1.5: 0, 0: 0}, TypeError), ({True: 0}, TypeError), ({0: 0}, ValueError), ([(0, ZERO)], ValueError)],
+    ids=["float", "bool", "zero", "zero-pair"],
+)
+def test_of_checks_each_position_before_dropping_zero_values(mapping, error):
+    with pytest.raises(error, match="position"):
+        FiniteSupportSeq.of(mapping)
 
 
 def test_params_validation():

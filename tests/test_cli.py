@@ -1,6 +1,9 @@
 import json
+import time
 
 import pytest
+
+from svlie import cli
 
 from svlie.autgroup import (
     AutomorphismParams,
@@ -270,6 +273,95 @@ def test_non_string_field_exits_2_and_names_it(tmp_path, capsys, argv, content, 
     assert code == 2
     assert out == ""
     assert err == f"error: {j_file}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content, field",
+    [
+        (["invert"], '{"u": "1"}', "w"),
+        (["factorize"], '{"radius": 3}', "images"),
+        (["apply-der", "L[0]", "--params"], '{"c1": "1"}', "c2"),
+    ],
+    ids=["invert-w", "factorize-images", "apply-der-c2"],
+)
+def test_missing_field_exits_2_and_names_it(tmp_path, capsys, argv, content, field):
+    j_file = tmp_path / "f.json"
+    j_file.write_text(content)
+    code, out, err = run(capsys, *argv, str(j_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {j_file}: missing field '{field}'\n"
+
+
+def _sum_of_terms(n):
+    return " + ".join(f"(1/{k + 1})*L[{k}]" for k in range(n))
+
+
+def _refuse_work(*args):
+    raise AssertionError("work started on an input over the term limit")
+
+
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_element_over_256_terms_exits_2_before_any_bracket(capsys, monkeypatch, where):
+    monkeypatch.setattr(cli, "bracket", _refuse_work)
+    x = _sum_of_terms(257) if where == "x" else "L[1]"
+    y = _sum_of_terms(257) if where == "y" else "L[1]"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bracket", x, y)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "expected end of element (at most 256 terms)" in err
+
+
+def test_element_of_256_terms_is_accepted(capsys):
+    code, out, _ = run(capsys, "bracket", _sum_of_terms(256), "M[0]")
+    assert code == 0
+    assert out.strip() == "0"
+    # [L[1], L[k]] = (k - 1) L[k+1]: every term but k = 1 survives
+    code, out, _ = run(capsys, "bracket", "L[1]", _sum_of_terms(256))
+    assert code == 0
+    assert out.count("L[") == 255
+
+
+def test_element_field_over_256_terms_exits_2(tmp_path, capsys):
+    d_file = tmp_path / "d.json"
+    d_file.write_text(json.dumps({"c1": "0", "c2": "0", "c3": "0", "inner": _sum_of_terms(257)}))
+    code, out, err = run(capsys, "apply-der", "--params", str(d_file), "L[0]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {d_file}: syntax error at offset ")
+    assert "(at most 256 terms)" in err
+
+
+def _params_with(field, n):
+    data = params_to_json(identity())
+    data[field] = {str(k): "1/2" for k in range(1, n + 1)}
+    return data
+
+
+@pytest.mark.parametrize("field", ["b", "c"])
+def test_params_over_256_entries_exit_2_before_any_value_is_parsed(tmp_path, capsys, monkeypatch, field):
+    monkeypatch.setattr(cli, "compose", _refuse_work)
+    big, small = tmp_path / "big.json", tmp_path / "small.json"
+    big.write_text(json.dumps(_params_with(field, 257)))
+    small.write_text(json.dumps(_params_with(field, 1)))
+    for pair in ((big, small), (small, big)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compose", *map(str, pair))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {big}: {field} has 257 entries, over the limit of 256\n"
+
+
+@pytest.mark.parametrize("field", ["b", "c"])
+def test_params_of_256_entries_are_accepted(tmp_path, capsys, field):
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(_params_with(field, 256)))
+    code, out, _ = run(capsys, "invert", "--format", "json", str(p_file))
+    assert code == 0
+    assert len(json.loads(out)[field]) == 256
 
 
 def test_verify_exit_status_and_determinism(capsys):

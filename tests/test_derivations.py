@@ -183,6 +183,30 @@ def test_decompose_rejects_junk():
         decompose(WindowMap.from_function(3, image))
 
 
+@pytest.mark.parametrize(
+    "target, stray, reason",
+    [
+        (L(-3), single(Y(1)), "not degree-0 into S"),
+        (L(2), single(M(2), 5), "not a derivation of the stated form"),
+        (Y(-1), single(L(-1), Scalar(Fraction(1, 3))), "not degree-0 into S"),
+        (Y(3), single(M(3)), "not a derivation of the stated form"),
+        (M(0), single(M(0), -1), "not a derivation of the stated form"),
+        (M(2), single(Y(2)), "not a derivation of the stated form"),
+        (C, single(M(0)), "not a derivation of the stated form"),
+    ],
+)
+def test_decompose_names_the_generator_with_a_stray_term(target, stray, reason):
+    deriv = ClassifiedDerivation(
+        ONE, Scalar(2), Scalar(Fraction(-1, 2)), Element([(L(2), 1), (Y(-1), 3), (M(1), -2)])
+    )
+    wmap = classified_window_map(deriv, 3)
+    images = dict(wmap.images)
+    images[target] = images[target] + stray
+    with pytest.raises(DerivationError) as exc:
+        decompose(WindowMap(wmap.window, images))
+    assert str(exc.value) == f"residual not in classified span: {reason}: {target}"
+
+
 def test_outer_independence_radius_3_and_4():
     for radius in (3, 4):
         kernel = outer_independence_kernel(Window(radius))

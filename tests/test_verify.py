@@ -1,11 +1,15 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from svlie import algebra, verify
-from svlie.algebra import L, M, Window, Y, jacobi_residual, single
+from svlie import algebra, derivations, verify
+from svlie.algebra import C, L, M, Window, Y, jacobi_residual, single
+from svlie.autgroup import AutomorphismParams, identity, params_to_json
+from svlie.derivations import ClassifiedDerivation, WindowMap
+from svlie.scalar import ONE, Scalar, ZERO, format_scalar
 from svlie.verify import SplitMix64, SUITES, render_text, run_suite
 
 
@@ -158,3 +162,154 @@ def test_jacobi_evaluates_one_residual_per_rotation_class(monkeypatch):
     # n**3 ordered triples fall into n one-element classes and (n**3 - n) / 3 of three
     assert check["cases"] == n**3
     assert len(calls) == (n**3 + 2 * n) // 3
+
+
+# One injected defect per suite check: each failure must reach the report and
+# the text rendering with its name, violation count and witnesses.
+
+
+def _failing_check(report, name, cases, witnesses, violations=None):
+    [check] = [c for c in report["checks"] if c["name"] == name]
+    violations = len(witnesses) if violations is None else violations
+    assert check == {"name": name, "cases": cases, "violations": violations, "witnesses": witnesses}
+    assert report["passed"] is False
+    text = render_text(report)
+    assert f"  [FAIL] {name}: {cases} cases, {violations} violations" in text
+    for witness in witnesses:
+        assert f"         witness: {witness}" in text
+    assert text.endswith("\nFAIL")
+
+
+def test_center_failure_names_the_basis_found(monkeypatch):
+    monkeypatch.setattr(verify, "centralizer_window", lambda window: [single(M(0))])
+    report = run_suite("center", radius=1)
+    _failing_check(report, "centralizer-basis", 1, ["basis: M[0]"])
+
+
+def test_outer_independence_failure_prints_each_bad_kernel_vector(monkeypatch):
+    kernel = [
+        (ZERO, ZERO, ZERO, single(M(0))),  # central: not a witness
+        (ONE, ZERO, ZERO, single(C)),
+        (ZERO, ZERO, ZERO, single(L(1), 2)),
+    ]
+    monkeypatch.setattr(verify, "outer_independence_kernel", lambda window: kernel)
+    report = run_suite("derivations", radius=1, cases=1)
+    _failing_check(report, "outer-independence", 3, ["c1=1 c2=0 c3=0 z=C", "c1=0 c2=0 c3=0 z=2*L[1]"])
+
+
+def test_decompose_failure_carries_the_nested_classify_message(monkeypatch):
+    def with_stray_term(wmap):
+        images = dict(wmap.images)
+        images[Y(2)] = images[Y(2)] + single(L(2))
+        return derivations.decompose(WindowMap(wmap.window, images))
+
+    monkeypatch.setattr(verify, "decompose", with_stray_term)
+    report = run_suite("derivations", radius=3, cases=2)
+    message = "residual not in classified span: not degree-0 into S: Y[2]"
+    _failing_check(report, "decompose-roundtrip", 2, [f"case 0: {message}", f"case 1: {message}"])
+
+
+def test_classify_roundtrip_failure_prints_the_fit_and_its_source(monkeypatch):
+    fits = []
+
+    def off_by_one(wmap):
+        fitted = derivations.classify_degree0(wmap)
+        fits.append((replace(fitted, c1=fitted.c1 + ONE), fitted))
+        return fits[-1][0]
+
+    monkeypatch.setattr(verify, "classify_degree0", off_by_one)
+    report = run_suite("derivations", radius=3, cases=2)
+    # the roundtrip fits first; the five y-family maps are rejected inside the real fit
+    witnesses = [f"case {k}: fitted {bad} from {good}" for k, (bad, good) in enumerate(fits)]
+    _failing_check(report, "classify-roundtrip", 2, witnesses)
+    assert len(fits) == 2
+
+
+def test_y_family_failure_names_the_accepted_coefficient(monkeypatch):
+    accepted = []
+
+    def accept_all(wmap):
+        if wmap.image(L(1)).coeff(Y(1)):
+            accepted.append(wmap.image(L(1)).coeff(Y(1)))
+        return ClassifiedDerivation()
+
+    monkeypatch.setattr(verify, "classify_degree0", accept_all)
+    report = run_suite("derivations", radius=3, cases=1)
+    assert len(accepted) == 5
+    witnesses = [f"case {k}: accepted c1={format_scalar(c1)}" for k, c1 in enumerate(accepted[:3])]
+    _failing_check(report, "classify-rejects-y-family", 5, witnesses, violations=5)
+
+
+_FIXED = AutomorphismParams(b={1: ONE}, c={-2: ONE}, u=Scalar(3), w=Scalar(2), alpha=ONE)
+
+
+def _shifted_gamma(real):
+    def patched(p, q):
+        r = real(p, q)
+        return replace(r, gamma=r.gamma + ONE)
+
+    return patched
+
+
+def _with_extra(kinds, extra):
+    real = verify.apply
+
+    def patched(p, x):
+        out = real(p, x)
+        return out + single(extra) if any(bv.kind in kinds for bv in x.support()) else out
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "binding, defect, name, cases, witnesses",
+    [
+        ("compose", _shifted_gamma(verify.compose), "compose-matches-oracle-action", 2,
+         ["case 0: differs on L[-1]", "case 1: differs on L[-1]"]),
+        ("compose", _shifted_gamma(verify.compose), "associativity", 1, ["case 0"]),
+        ("invert", lambda p: p, "inverse-roundtrip", 1, ["case 0"]),
+        ("factorize", lambda wmap: identity(), "factorize-apply-identity", 1, ["case 0"]),
+        ("apply", _with_extra("C", C), "central-character-and-ideals", 2,
+         ["case 0: central character", "case 1: central character"]),
+        ("apply", _with_extra("YM", L(0)), "central-character-and-ideals", 2,
+         ["case 0: L-term in image of Y[-1]", "case 1: L-term in image of Y[-1]"]),
+        ("apply", _with_extra("M", Y(0)), "central-character-and-ideals", 2,
+         ["case 0: Y-term in image of M[-1]", "case 1: Y-term in image of M[-1]"]),
+    ],
+    ids=["action", "associativity", "inverse", "factorize", "central-character",
+         "l-ideal", "y-ideal"],
+)
+def test_group_law_failure_names_the_case(monkeypatch, binding, defect, name, cases, witnesses):
+    # every random automorphism is one fixed element with w^2 != 1, so each
+    # defect shows in every case; the middle three checks run cases // 2 of them
+    monkeypatch.setattr(verify, "random_params", lambda rng: _FIXED)
+    monkeypatch.setattr(verify, binding, defect)
+    report = run_suite("group-law", radius=1, cases=2)
+    _failing_check(report, name, cases, witnesses)
+
+
+def test_lemma36_failure_prints_pairs_and_each_disagreeing_component(monkeypatch):
+    real = verify.compose
+
+    def wrong_oracle(p, q, radius):
+        r = real(p, q)
+        return replace(r, i=1 - r.i, b={**dict(r.b.items()), 9: ONE}, c={**dict(r.c.items()), 9: ONE})
+
+    monkeypatch.setattr(verify, "compose_oracle", wrong_oracle)
+    report = run_suite("lemma36-verdict", radius=1, cases=1)
+    # every pair fails: the 87 curated ones, which start with (e, e), then one random
+    e = identity()
+    pairs = [(e, e), (e, AutomorphismParams(alpha=ONE)), (e, AutomorphismParams(beta=ONE))]
+    witnesses = [f"p={params_to_json(p)} q={params_to_json(q)}" for p, q in pairs]
+    _failing_check(report, "compose-matches-oracle-params", 88, witnesses, violations=88)
+
+    relations = {r["name"]: r for r in report["relations"]}
+    identity_json = params_to_json(e)
+    text = render_text(report)
+    for name, printed, oracle in [("i", "0", "1"), ("b", "{}", "{9: 1}"), ("c", "{}", "{9: 1}")]:
+        assert relations[name]["verdict"] == "DISAGREE"
+        assert relations[name]["witness"] == {
+            "p": identity_json, "q": identity_json, "printed": printed, "oracle": oracle
+        }
+        assert f"  [DISAGREE] {name}: " in text
+        assert f"         printed {printed}  oracle {oracle}" in text
