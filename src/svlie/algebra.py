@@ -223,7 +223,11 @@ def format_element(x: Element) -> str:
     return "".join(pieces)
 
 
-@functools.lru_cache(maxsize=None)
+# The most basis brackets one bracket of two 256-term elements can need.
+_BRACKET_CACHE_SIZE = 65536
+
+
+@functools.lru_cache(maxsize=_BRACKET_CACHE_SIZE)
 def bracket_basis(a: BasisVector, b: BasisVector) -> Element:
     """Bracket of two basis vectors, straight from the structure constants."""
     ka, kb = a.kind, b.kind

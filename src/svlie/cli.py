@@ -30,11 +30,21 @@ class _InputError(ValueError):
     """Malformed file or argument content; maps to exit status 2."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for ``json.load``: an object that repeats a key is refused."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load(path: str, decoder):
     """``decoder`` applied to the JSON object in the file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except RecursionError as exc:

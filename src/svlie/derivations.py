@@ -304,10 +304,12 @@ def window_map_from_json(data: dict) -> WindowMap:
     raw = data["images"]
     if not isinstance(raw, dict):
         raise ValueError("images must be an object of basis vector -> element")
-    images = {
-        parse_basis_vector(key): parse_element(_field_text(f"images[{key}]", value, "an element"))
-        for key, value in raw.items()
-    }
+    images = {}
+    for key, value in raw.items():
+        bv = parse_basis_vector(key)
+        if bv in images:
+            raise ValueError(f"images[{key}] repeats {bv}")
+        images[bv] = parse_element(_field_text(f"images[{key}]", value, "an element"))
     return WindowMap(Window(radius), images)
 
 

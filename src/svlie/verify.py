@@ -28,6 +28,7 @@ from .algebra import (
 from .autgroup import (
     AutomorphismParams,
     FiniteSupportSeq,
+    action,
     apply,
     automorphism_window_map,
     compose,
@@ -282,9 +283,10 @@ def _group_law_checks(radius: int, seed: int, cases: int) -> list[dict]:
     witnesses = []
     pairs = [(random_params(rng), random_params(rng)) for _ in range(cases)]
     for case, (p, q) in enumerate(pairs):
-        composed = compose(p, q)
+        composed, act_p, act_q = action(compose(p, q)), action(p), action(q)
         for bv in gens:
-            if apply(composed, single(bv)) != apply(p, apply(q, single(bv))):
+            x = single(bv)
+            if composed(x) != act_p(act_q(x)):
                 witnesses.append(f"case {case}: differs on {bv}")
                 break
     checks.append(_check("compose-matches-oracle-action", cases, witnesses))

@@ -228,6 +228,14 @@ def test_centralizer_tiny_window():
     assert centralizer_window(Window(1)) == [single(M(0)), single(C)]
 
 
+def test_bracket_basis_cache_stays_within_its_bound():
+    # 260 * 260 distinct basis pairs, more than the 65,536 the cache keeps
+    x = Element([(L(k), 1) for k in range(260)])
+    y = Element([(L(k), 1) for k in range(-260, 0)])
+    bracket(x, y)
+    assert bracket_basis.cache_info().currsize <= 65536
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(0)

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from svlie.autgroup import (
     AutomorphismParams,
     FactorizationError,
     FiniteSupportSeq,
+    action,
     apply,
     automorphism_window_map,
     compose,
@@ -114,6 +116,44 @@ def _scalings_closed_form(i, u, w, x):
 def test_flip_degree_and_kind_scale_match_their_closed_form(i, u, w):
     for x in _SHEAR_INPUTS:
         assert apply(AutomorphismParams(i=i, u=u, w=w), x) == _scalings_closed_form(i, u, w, x)
+
+
+def _full_params(rng):
+    """Random params with every factor acting: i = 1, u not +-1, w != 1, nonzero alpha, beta, gamma, b, c."""
+    while True:
+        p = random_params(rng)
+        if (p.i and p.u not in (ONE, -ONE) and p.w != ONE and p.alpha and p.beta
+                and p.gamma and not p.b.is_zero() and not p.c.is_zero()):
+            return p
+
+
+# indices repeat across kinds, so one u^n serves several terms, and n and -n both occur
+_MIXED = Element([
+    (L(-3), 2), (L(0), 1), (L(2), I), (L(3), sc(-1, 2)), (Y(-2), sc(1, 2)), (Y(2), -1),
+    (Y(3), 3), (M(-3), sc(2, 3)), (M(2), 1 + I), (M(4), -2), (C, 5),
+])
+
+
+def test_action_is_linear_and_matches_the_five_factors_one_by_one():
+    rng = SplitMix64(107)
+    for _ in range(6):
+        p = _full_params(rng)
+        act = action(p)
+        images = [act(single(bv, cf)) for bv, cf in _MIXED.terms()]
+        assert act(_MIXED) == apply(p, _MIXED) == sum(images, Element())
+        x = _shear_closed_form(p.alpha, p.beta, p.gamma, _MIXED)
+        x = _scalings_closed_form(p.i, p.u, p.w, x)
+        argument = Element([(Y(j), cf) for j, cf in p.b.items()] + [(M(k), cf) for k, cf in p.c.items()])
+        assert act(_MIXED) == exp_ad(argument, x)
+
+
+def test_window_map_is_apply_on_every_generator():
+    rng = SplitMix64(109)
+    for _ in range(10):
+        p = random_params(rng)
+        wmap = automorphism_window_map(p, 4)
+        for bv in Window(4).vectors():
+            assert wmap.image(bv) == apply(p, single(bv))
 
 
 def test_central_character():
@@ -243,6 +283,25 @@ def test_factorize_rejects_shift():
         factorize(WindowMap.from_function(3, image))
 
 
+_INNER = AutomorphismParams(b={-2: ONE, 1: sc(2)}, c={2: ONE}, u=sc(3), w=sc(2), gamma=ONE)
+
+
+@pytest.mark.parametrize(
+    "holder, stray",
+    [(L(0), L(2)), (L(1), Y(3))],
+    ids=["l2-in-l0", "y3-in-l1"],
+)
+def test_factorize_names_the_image_that_holds_a_stray_term(holder, stray):
+    # b carries -2, so peeling the inner factor spreads the stray term into the
+    # M[0] or M[1] coefficient that gamma, c or beta are read from
+    wmap = automorphism_window_map(_INNER, 3)
+    images = dict(wmap.images)
+    images[holder] = images[holder] + single(stray)
+    message = f"not an automorphism of canonical shape: {holder}"
+    with pytest.raises(FactorizationError, match=f"^{re.escape(message)}$"):
+        factorize(WindowMap(wmap.window, images))
+
+
 def test_factorize_needs_radius_3():
     with pytest.raises(ValueError, match="radius"):
         factorize(automorphism_window_map(identity(), 2))
@@ -310,8 +369,9 @@ def test_positions_are_exact_ints(field, mapping):
 
 @pytest.mark.parametrize(
     "mapping, error",
-    [({1.5: 0, 0: 0}, TypeError), ({True: 0}, TypeError), ({0: 0}, ValueError), ([(0, ZERO)], ValueError)],
-    ids=["float", "bool", "zero", "zero-pair"],
+    [({1.5: 0, 0: 0}, TypeError), ({True: 0}, TypeError), ({0: 0}, ValueError), ([(0, ZERO)], ValueError),
+     ([(1, ONE), (1, sc(5))], ValueError), ([(1, ONE), (1, ZERO)], ValueError)],
+    ids=["float", "bool", "zero", "zero-pair", "repeated", "repeated-zero"],
 )
 def test_of_checks_each_position_before_dropping_zero_values(mapping, error):
     with pytest.raises(error, match="position"):

@@ -276,6 +276,29 @@ def test_non_string_field_exits_2_and_names_it(tmp_path, capsys, argv, content, 
 
 
 @pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["invert"], '{"b": {"1": "1", "01": "5"}, "u": "1", "w": "1", "u": "2"}',
+         "invalid JSON: repeated key 'u'"),
+        (["invert"], '{"b": {"1": "1", "1": "5"}, "u": "1", "w": "1"}', "invalid JSON: repeated key '1'"),
+        (["invert"], '{"b": {"1": "1", "01": "5"}, "u": "1", "w": "1"}', "b[01] repeats position 1"),
+        (["invert"], '{"c": {"-2": "1", "-002": "5"}, "u": "1", "w": "1"}', "c[-002] repeats position -2"),
+        (["factorize"], '{"radius": 1, "images": {"L[1]": "L[1]", "L[01]": "5*L[1]"}}',
+         "images[L[01]] repeats L[1]"),
+        (["factorize"], '{"radius": 1, "images": {"C": "C", "C": "C"}}', "invalid JSON: repeated key 'C'"),
+    ],
+    ids=["top-level-key", "b-key", "b-position", "c-position", "images-basis-vector", "images-key"],
+)
+def test_repeated_key_exits_2_and_names_it(tmp_path, capsys, argv, content, message):
+    j_file = tmp_path / "f.json"
+    j_file.write_text(content)
+    code, out, err = run(capsys, *argv, str(j_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {j_file}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, content, field",
     [
         (["invert"], '{"u": "1"}', "w"),
