@@ -26,7 +26,6 @@ from .algebra import (
 from .autgroup import (
     AutomorphismParams,
     FactorizationError,
-    FiniteSupportSeq,
     automorphism_window_map,
     compose,
     compose_oracle,

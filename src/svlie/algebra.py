@@ -223,11 +223,13 @@ def format_element(x: Element) -> str:
     return "".join(pieces)
 
 
-# The most basis brackets one bracket of two 256-term elements can need.
-_BRACKET_CACHE_SIZE = 65536
+# Terms of a parsed element, and entries of an automorphism's b or c.  The
+# bracket of two sums is quadratic in their terms, so one command then runs
+# at most _MAX_TERMS**2 basis brackets, and the cache keeps that many.
+_MAX_TERMS = 256
 
 
-@functools.lru_cache(maxsize=_BRACKET_CACHE_SIZE)
+@functools.lru_cache(maxsize=_MAX_TERMS**2)
 def bracket_basis(a: BasisVector, b: BasisVector) -> Element:
     """Bracket of two basis vectors, straight from the structure constants."""
     ka, kb = a.kind, b.kind

@@ -36,7 +36,9 @@ definition they are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable
 
 from .algebra import (
@@ -46,17 +48,17 @@ from .algebra import (
     M,
     Y,
     _HALF,
+    _MAX_TERMS,
     bracket,
     exp_ad,
     single,
 )
 from .derivations import WindowMap, _apply_outer, _bracket_violations
-from .expr import MAX_INDEX, _MAX_TERMS
+from .expr import MAX_INDEX
 from .scalar import ONE, ParseError, Scalar, ZERO, _field_text, _scan_digits, format_scalar, parse_scalar
 
 __all__ = [
     "FactorizationError",
-    "FiniteSupportSeq",
     "AutomorphismParams",
     "identity",
     "action",
@@ -84,65 +86,27 @@ def _check_position(pos) -> None:
         raise ValueError("position 0 is forbidden")
 
 
-@dataclass(frozen=True)
-class FiniteSupportSeq:
-    """Finitely supported sequence over nonzero integer positions."""
+def _position_map(entries) -> Mapping[int, Scalar]:
+    """A read-only position -> Scalar map in ascending position order, zero values dropped.
 
-    entries: tuple[tuple[int, Scalar], ...] = ()
-
-    def __post_init__(self) -> None:
-        last = None
-        for pos, value in self.entries:
-            _check_position(pos)
-            if last is not None and pos <= last:
-                raise ValueError("entries must be sorted by position")
-            if not isinstance(value, Scalar) or not value:
-                raise ValueError("stored values must be nonzero scalars")
-            last = pos
-
-    @classmethod
-    def of(cls, mapping) -> "FiniteSupportSeq":
-        if isinstance(mapping, FiniteSupportSeq):
-            return mapping
-        items = mapping.items() if isinstance(mapping, dict) else mapping
-        clean = {}
-        seen = set()
-        for pos, value in items:
-            # check the position before a zero value is dropped
-            _check_position(pos)
-            if pos in seen:
-                raise ValueError(f"position {pos} is given twice")
-            seen.add(pos)
-            value = Scalar.coerce(value)
-            if value:
-                clean[pos] = value
-        return cls(tuple(sorted(clean.items())))
-
-    def get(self, pos: int) -> Scalar:
-        for p, value in self.entries:
-            if p == pos:
-                return value
-        return ZERO
-
-    def items(self) -> tuple[tuple[int, Scalar], ...]:
-        return self.entries
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
-_EMPTY_SEQ = FiniteSupportSeq()
+    ``entries`` is a mapping or an iterable of (position, value) pairs.
+    """
+    values = {}
+    for pos, value in entries.items() if isinstance(entries, Mapping) else entries:
+        # check the position before a zero value is dropped
+        _check_position(pos)
+        if pos in values:
+            raise ValueError(f"position {pos} is given twice")
+        values[pos] = Scalar.coerce(value)
+    return MappingProxyType({pos: values[pos] for pos in sorted(values) if values[pos]})
 
 
 @dataclass(frozen=True)
 class AutomorphismParams:
     """The canonical tuple (b, c, i, u, w, alpha, beta, gamma); u, w nonzero."""
 
-    b: FiniteSupportSeq = _EMPTY_SEQ
-    c: FiniteSupportSeq = _EMPTY_SEQ
+    b: Mapping[int, Scalar] = field(default_factory=dict)
+    c: Mapping[int, Scalar] = field(default_factory=dict)
     i: int = 0
     u: Scalar = ONE
     w: Scalar = ONE
@@ -151,8 +115,8 @@ class AutomorphismParams:
     gamma: Scalar = ZERO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", FiniteSupportSeq.of(self.b))
-        object.__setattr__(self, "c", FiniteSupportSeq.of(self.c))
+        object.__setattr__(self, "b", _position_map(self.b))
+        object.__setattr__(self, "c", _position_map(self.c))
         # bool is a subclass of int and 1.0 == 1, so test the type as well
         if type(self.i) is not int or self.i not in (0, 1):
             raise ValueError("parity i must be the integer 0 or 1")
@@ -169,7 +133,7 @@ def identity() -> AutomorphismParams:
     return AutomorphismParams()
 
 
-def _inner_argument(b: FiniteSupportSeq, c: FiniteSupportSeq) -> Element:
+def _inner_argument(b: Mapping[int, Scalar], c: Mapping[int, Scalar]) -> Element:
     terms = {Y(j): cf for j, cf in b.items()}
     terms.update((M(k), cf) for k, cf in c.items())
     return Element._wrap(terms)
@@ -388,7 +352,7 @@ def params_from_json(data: dict) -> AutomorphismParams:
     def scalar(field: str, value) -> Scalar:
         return parse_scalar(_field_text(field, value, "a scalar"))
 
-    def seq(field: str) -> FiniteSupportSeq:
+    def seq(field: str) -> dict[int, Scalar]:
         raw = data.get(field, {})
         if not isinstance(raw, dict):
             raise ValueError(f"{field} must be an object of position -> scalar")
@@ -400,7 +364,7 @@ def params_from_json(data: dict) -> AutomorphismParams:
             if pos in values:
                 raise ValueError(f"{field}[{key}] repeats position {pos}")
             values[pos] = scalar(f"{field}[{key}]", value)
-        return FiniteSupportSeq.of(values)
+        return values
 
     return AutomorphismParams(
         seq("b"),

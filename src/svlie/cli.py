@@ -59,7 +59,7 @@ def _load(path: str, decoder):
     except KeyError as exc:
         # every required field is top-level, so the file names the object
         raise _InputError(f"{path}: missing field {exc.args[0]!r}") from exc
-    except (ParseError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ its exact inverse.
 
 from __future__ import annotations
 
-from .algebra import BasisVector, C, Element
+from .algebra import BasisVector, C, Element, _MAX_TERMS
 from .scalar import ParseError, Scalar, ZERO, _scan_digits, _skip_ws, scan_scalar, scan_simple_scalar
 
 __all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX"]
@@ -23,10 +23,6 @@ __all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX"]
 # Basis indices are capped to a machine range even though Python integers
 # are unbounded; wildly large indices are always a typo.
 MAX_INDEX = 2**63 - 1
-# Terms of a parsed element, and entries of an automorphism's b or c.  The
-# bracket of two sums is quadratic in their terms, so one command then runs
-# at most 256^2 basis brackets.
-_MAX_TERMS = 256
 
 
 def _scan_basis(text: str, pos: int) -> tuple[BasisVector, int]:

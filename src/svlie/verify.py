@@ -10,13 +10,13 @@ oracle — candidate agreement is reported, never required.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .algebra import (
     BasisVector,
     C,
     Element,
-    L,
     M,
     Window,
     Y,
@@ -27,7 +27,6 @@ from .algebra import (
 )
 from .autgroup import (
     AutomorphismParams,
-    FiniteSupportSeq,
     action,
     apply,
     automorphism_window_map,
@@ -64,6 +63,8 @@ SUITES = (
 )
 
 _MAX_WITNESSES = 3
+# the positions a random b or c draws from
+_SEQ_POSITIONS = (-3, -2, -1, 1, 2, 3)
 
 
 class SplitMix64:
@@ -105,12 +106,11 @@ def random_scalar(rng: SplitMix64, nonzero: bool = False) -> Scalar:
             return value
 
 
-def random_seq(rng: SplitMix64, reach: int = 3) -> FiniteSupportSeq:
-    positions = [p for p in range(-reach, reach + 1) if p != 0]
+def random_seq(rng: SplitMix64) -> dict[int, Scalar]:
     chosen = {}
     for _ in range(rng.randint(0, 2)):
-        chosen[rng.choice(positions)] = random_scalar(rng, nonzero=True)
-    return FiniteSupportSeq.of(chosen)
+        chosen[rng.choice(_SEQ_POSITIONS)] = random_scalar(rng, nonzero=True)
+    return chosen
 
 
 def random_params(rng: SplitMix64) -> AutomorphismParams:
@@ -326,9 +326,7 @@ def _group_law_checks(radius: int, seed: int, cases: int) -> list[dict]:
     return checks
 
 
-def _seq_text(seq: FiniteSupportSeq) -> str:
-    if seq.is_zero():
-        return "{}"
+def _seq_text(seq: Mapping[int, Scalar]) -> str:
     return "{" + ", ".join(f"{j}: {format_scalar(v)}" for j, v in seq.items()) + "}"
 
 
@@ -344,35 +342,36 @@ def _candidate_components(p: AutomorphismParams, q: AutomorphismParams) -> dict:
         "alpha": (p.alpha * w_q_inv + q.alpha) / 2,
         "beta": p.beta * w_q_inv * w_q_inv + q.alpha * q.alpha + q.beta + q.gamma,
     }
-    b2: dict[int, Scalar] = {}
-    for j in set(p.b.support()) | {sp * jq for jq in q.b.support()}:
-        b2[j] = p.b.get(j) + sp * p.w * q.b.get(sp * j) * p.u ** (sp * j)
-    out["b"] = FiniteSupportSeq.of(b2)
-    c_keys = set(p.c.support()) | {sp * kq for kq in q.c.support()}
-    c_keys |= {sp * jq for jq in q.b.support()}
-    c_keys |= {j + sp * jq for j in p.b.support() for jq in q.b.support()}
+    b_keys = set(p.b) | {sp * jq for jq in q.b}
+    b2 = {
+        j: p.b.get(j, ZERO) + sp * p.w * q.b.get(sp * j, ZERO) * p.u ** (sp * j)
+        for j in b_keys
+    }
+    c_keys = set(p.c) | {sp * kq for kq in q.c}
+    c_keys |= {sp * jq for jq in q.b}
+    c_keys |= {j + sp * jq for j in p.b for jq in q.b}
     c2: dict[int, Scalar] = {}
     for k in c_keys:
         if k == 0:
             continue
         u_k = p.u ** (sp * k)
         total = (
-            p.c.get(k)
-            + sp * p.w * p.w * q.c.get(sp * k) * u_k
-            + 2 * p.alpha * p.w * p.w * k * q.b.get(sp * k) * u_k
+            p.c.get(k, ZERO)
+            + sp * p.w * p.w * q.c.get(sp * k, ZERO) * u_k
+            + 2 * p.alpha * p.w * p.w * k * q.b.get(sp * k, ZERO) * u_k
         )
         cross = ZERO
-        for j in set(p.b.support()) | {sp * jq for jq in q.b.support()}:
-            if j == 0:
-                continue
+        for j in b_keys:
             term = (
-                p.u ** (sp * j) * q.b.get(sp * j) * p.b.get(k - j)
-                - p.u ** (sp * (k - j)) * p.b.get(j) * q.b.get(sp * (k - j))
+                p.u ** (sp * j) * q.b.get(sp * j, ZERO) * p.b.get(k - j, ZERO)
+                - p.u ** (sp * (k - j)) * p.b.get(j, ZERO) * q.b.get(sp * (k - j), ZERO)
             )
             if term:
                 cross = cross + Fraction(sp * (k - j) * (k - 2 * j), 2 * k) * p.w * term
         c2[k] = total - cross
-    out["c"] = FiniteSupportSeq.of(c2)
+    # canonical b and c, zeros dropped and positions sorted, through the one constructor
+    canonical = AutomorphismParams(b=b2, c=c2)
+    out["b"], out["c"] = canonical.b, canonical.c
     return out
 
 

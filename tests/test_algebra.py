@@ -233,6 +233,7 @@ def test_bracket_basis_cache_stays_within_its_bound():
     x = Element([(L(k), 1) for k in range(260)])
     y = Element([(L(k), 1) for k in range(-260, 0)])
     bracket(x, y)
+    assert bracket_basis.cache_info().maxsize == 256**2
     assert bracket_basis.cache_info().currsize <= 65536
 
 

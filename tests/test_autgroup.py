@@ -1,5 +1,6 @@
 import importlib.util
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from svlie.algebra import BasisVector, C, Element, L, M, Window, Y, exp_ad, sing
 from svlie.autgroup import (
     AutomorphismParams,
     FactorizationError,
-    FiniteSupportSeq,
     action,
     apply,
     automorphism_window_map,
@@ -123,7 +123,7 @@ def _full_params(rng):
     while True:
         p = random_params(rng)
         if (p.i and p.u not in (ONE, -ONE) and p.w != ONE and p.alpha and p.beta
-                and p.gamma and not p.b.is_zero() and not p.c.is_zero()):
+                and p.gamma and p.b and p.c):
             return p
 
 
@@ -350,32 +350,69 @@ def test_parameter_faithfulness():
         assert any(apply(p, g) != apply(q, g) for g in gens)
 
 
-def test_finite_support_seq_invariants():
-    seq = FiniteSupportSeq.of({2: ONE, 1: ZERO})
-    assert seq.support() == (2,)
-    assert seq.get(1) == ZERO
+def test_position_maps_drop_zero_values():
+    p = AutomorphismParams(b={2: ONE, 1: ZERO}, c=[(-1, ZERO), (3, 2)])
+    assert dict(p.b) == {2: ONE} and dict(p.c) == {3: sc(2)}
+    assert p.b.get(1, ZERO) == ZERO and p.b.get(1) is None
+    assert AutomorphismParams(b={1: ZERO}, c={2: ZERO}) == identity()
     with pytest.raises(ValueError):
-        FiniteSupportSeq.of({0: ONE})
+        AutomorphismParams(b={0: ONE})
+
+
+def test_position_maps_are_read_only():
+    p = AutomorphismParams(b={1: ONE}, c={2: ONE})
+    with pytest.raises(TypeError):
+        p.b[1] = ONE
+    with pytest.raises(TypeError):
+        p.c[3] = ONE
+    assert dict(p.b) == {1: ONE} and dict(p.c) == {2: ONE}
+
+
+def test_position_maps_are_in_position_order():
+    entries = [(3, ONE), (-2, sc(2)), (1, sc(3)), (-5, sc(4))]
+    for given in (entries, entries[::-1], dict(entries), dict(entries[::-1])):
+        p = AutomorphismParams(b=given, c=given)
+        assert list(p.b) == list(p.c) == [-5, -2, 1, 3]
+        assert list(p.b.items()) == sorted(entries)
+
+
+def test_mapping_and_pairs_give_equal_params():
+    entries = [(2, sc(1, 2)), (-1, ONE), (4, ZERO)]
+    assert AutomorphismParams(b=dict(entries), c=dict(entries)) == AutomorphismParams(b=entries, c=entries)
+
+
+def test_replace_checks_the_new_positions():
+    p = AutomorphismParams(b={1: ONE}, c={2: ONE}, u=sc(2))
+    assert replace(p, b=p.b, c=p.c) == p
+    assert replace(p, b={1: ZERO}) == AutomorphismParams(c={2: ONE}, u=sc(2))
+    with pytest.raises(ValueError, match="position 0 is forbidden"):
+        replace(p, b={0: ONE})
+    with pytest.raises(TypeError, match="position must be an int"):
+        replace(p, c={"2": ONE})
 
 
 @pytest.mark.parametrize("field, mapping", [("b", {1.5: 1}), ("b", {True: 1}), ("c", {"3": 1})])
 def test_positions_are_exact_ints(field, mapping):
-    """A float, a bool or a digit string is refused, not read as int(pos)."""
+    """A float, a bool or a digit string is refused, not read as int(pos), as a mapping or as pairs."""
     with pytest.raises(TypeError, match="position must be an int"):
         AutomorphismParams(**{field: mapping})
     with pytest.raises(TypeError, match="position must be an int"):
-        FiniteSupportSeq(((next(iter(mapping)), ONE),))
+        AutomorphismParams(**{field: list(mapping.items())})
 
 
 @pytest.mark.parametrize(
     "mapping, error",
     [({1.5: 0, 0: 0}, TypeError), ({True: 0}, TypeError), ({0: 0}, ValueError), ([(0, ZERO)], ValueError),
-     ([(1, ONE), (1, sc(5))], ValueError), ([(1, ONE), (1, ZERO)], ValueError)],
-    ids=["float", "bool", "zero", "zero-pair", "repeated", "repeated-zero"],
+     ([(1, ONE), (1, sc(5))], ValueError), ([(1, ONE), (1, ZERO)], ValueError),
+     ({"3": 0}, TypeError), ([(1.5, ZERO)], TypeError), ([(True, ZERO)], TypeError)],
+    ids=["float", "bool", "zero", "zero-pair", "repeated", "repeated-zero",
+         "digit-string", "float-pair", "bool-pair"],
 )
 def test_of_checks_each_position_before_dropping_zero_values(mapping, error):
-    with pytest.raises(error, match="position"):
-        FiniteSupportSeq.of(mapping)
+    """b and c check each position, zero valued or not, before their zero values are dropped."""
+    for field in ("b", "c"):
+        with pytest.raises(error, match="position"):
+            AutomorphismParams(**{field: mapping})
 
 
 def test_params_validation():

@@ -35,7 +35,7 @@ nonzero_scalars = scalars.filter(bool)
 indices = st.integers(-MAX_INDEX, MAX_INDEX)
 basis_vectors = st.one_of(st.builds(BasisVector, st.sampled_from("LYM"), indices), st.just(C))
 elements = st.lists(st.tuples(basis_vectors, scalars), max_size=4).map(Element)
-# zero scalars included: FiniteSupportSeq drops them
+# zero scalars included: AutomorphismParams drops them
 sequences = st.dictionaries(indices.filter(bool), scalars, max_size=4)
 params = st.builds(
     AutomorphismParams,
