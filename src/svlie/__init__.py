@@ -33,8 +33,6 @@ from .autgroup import (
     identity,
     invert,
     is_automorphism_window,
-    params_from_json,
-    params_to_json,
 )
 from .derivations import (
     ClassifiedDerivation,
@@ -48,7 +46,7 @@ from .derivations import (
     leibniz_check,
     outer_independence_kernel,
 )
-from .expr import parse_basis_vector, parse_element
+from .expr import params_from_json, params_to_json, parse_basis_vector, parse_element
 from .scalar import (
     I,
     LinearSystem,

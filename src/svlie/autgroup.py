@@ -48,14 +48,12 @@ from .algebra import (
     M,
     Y,
     _HALF,
-    _MAX_TERMS,
     bracket,
     exp_ad,
     single,
 )
 from .derivations import WindowMap, _apply_outer, _bracket_violations
-from .expr import MAX_INDEX
-from .scalar import ONE, ParseError, Scalar, ZERO, _field_text, _scan_digits, format_scalar, parse_scalar
+from .scalar import ONE, Scalar, ZERO
 
 __all__ = [
     "FactorizationError",
@@ -69,8 +67,6 @@ __all__ = [
     "factorize",
     "is_automorphism_window",
     "automorphism_window_map",
-    "params_to_json",
-    "params_from_json",
 ]
 
 
@@ -320,56 +316,3 @@ def compose_oracle(
     """Generator-wise composition: apply q then p on a window, refactorize."""
     act_p, act_q = action(p), action(q)
     return factorize(WindowMap.from_function(radius, lambda bv: act_p(act_q(single(bv)))))
-
-
-def params_to_json(p: AutomorphismParams) -> dict:
-    """Canonical JSON form with numerically sorted b/c keys."""
-    return {
-        "b": {str(j): format_scalar(v) for j, v in p.b.items()},
-        "c": {str(k): format_scalar(v) for k, v in p.c.items()},
-        "i": p.i,
-        "u": format_scalar(p.u),
-        "w": format_scalar(p.w),
-        "alpha": format_scalar(p.alpha),
-        "beta": format_scalar(p.beta),
-        "gamma": format_scalar(p.gamma),
-    }
-
-
-def _parse_position(key: str) -> int:
-    """A b/c position key: an optional '-' and 1 to 19 ASCII digits, within +/-MAX_INDEX."""
-    start = 1 if key.startswith("-") else 0
-    end = _scan_digits(key, start, len(str(MAX_INDEX)))
-    if end != len(key):
-        raise ParseError(end, "end of position")
-    value = int(key)
-    if abs(value) > MAX_INDEX:
-        raise ParseError(start, f"position within +/-{MAX_INDEX}")
-    return value
-
-
-def params_from_json(data: dict) -> AutomorphismParams:
-    def scalar(field: str, value) -> Scalar:
-        return parse_scalar(_field_text(field, value, "a scalar"))
-
-    def seq(field: str) -> dict[int, Scalar]:
-        raw = data.get(field, {})
-        if not isinstance(raw, dict):
-            raise ValueError(f"{field} must be an object of position -> scalar")
-        if len(raw) > _MAX_TERMS:
-            raise ValueError(f"{field} has {len(raw)} entries, over the limit of {_MAX_TERMS}")
-        values = {}
-        for key, value in raw.items():
-            pos = _parse_position(key)
-            if pos in values:
-                raise ValueError(f"{field}[{key}] repeats position {pos}")
-            values[pos] = scalar(f"{field}[{key}]", value)
-        return values
-
-    return AutomorphismParams(
-        seq("b"),
-        seq("c"),
-        data.get("i", 0),
-        *(scalar(f, data[f]) for f in ("u", "w")),
-        *(scalar(f, data.get(f, "0")) for f in ("alpha", "beta", "gamma")),
-    )

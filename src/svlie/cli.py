@@ -12,16 +12,10 @@ import json
 import sys
 
 from .algebra import bracket, exp_ad, format_element
-from .autgroup import (
-    compose,
-    factorize,
-    invert,
-    apply as apply_automorphism,
-    params_from_json,
-    params_to_json,
-)
-from .derivations import apply_classified, classified_from_json, window_map_from_json
-from .expr import parse_element
+from .autgroup import compose, factorize, invert, apply as apply_automorphism
+from .derivations import apply_classified
+from .expr import classified_from_json, params_from_json, params_to_json, parse_element
+from .expr import window_map_from_json
 from .scalar import ParseError, _scan_digits
 from .verify import SUITES, render_text, run_suite
 
@@ -56,9 +50,6 @@ def _load(path: str, decoder):
         raise _InputError(f"{path}: expected a JSON object")
     try:
         return decoder(data)
-    except KeyError as exc:
-        # every required field is top-level, so the file names the object
-        raise _InputError(f"{path}: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 

@@ -29,11 +29,9 @@ from .algebra import (
     _constraint_system,
     bracket,
     bracket_basis,
-    format_element,
     single,
 )
-from .expr import parse_basis_vector, parse_element
-from .scalar import ONE, Scalar, ZERO, _field_text, format_scalar, nullspace, parse_scalar
+from .scalar import ONE, Scalar, ZERO, nullspace
 
 __all__ = [
     "DerivationError",
@@ -46,10 +44,6 @@ __all__ = [
     "decompose",
     "outer_independence_kernel",
     "equivariant_hom_nullity",
-    "window_map_to_json",
-    "window_map_from_json",
-    "classified_to_json",
-    "classified_from_json",
 ]
 
 
@@ -70,6 +64,8 @@ class ClassifiedDerivation:
         object.__setattr__(self, "c1", Scalar.coerce(self.c1))
         object.__setattr__(self, "c2", Scalar.coerce(self.c2))
         object.__setattr__(self, "c3", Scalar.coerce(self.c3))
+        if not isinstance(self.inner, Element):
+            raise TypeError(f"inner must be an Element, not {type(self.inner).__name__}")
 
 
 def _outer_image(c1: Scalar, c2: Scalar, c3: Scalar, bv: BasisVector) -> Element:
@@ -286,44 +282,3 @@ def equivariant_hom_nullity(window: Window) -> int:
 
     cols = [(Y(n), t) for n in span for t in targets]
     return len(nullspace(_constraint_system(cols, constraints())))
-
-
-def window_map_to_json(dmap: WindowMap) -> dict:
-    """JSON form: {"radius": N, "images": {"L[1]": "<element expr>", ...}}."""
-    images = {
-        str(bv): format_element(dmap.image(bv))
-        for bv in sorted(dmap.window.vectors(), key=lambda b: b.sort_key())
-    }
-    return {"radius": dmap.window.radius, "images": images}
-
-
-def window_map_from_json(data: dict) -> WindowMap:
-    radius = data["radius"]
-    if type(radius) is not int:
-        raise ValueError("radius must be an integer")
-    raw = data["images"]
-    if not isinstance(raw, dict):
-        raise ValueError("images must be an object of basis vector -> element")
-    images = {}
-    for key, value in raw.items():
-        bv = parse_basis_vector(key)
-        if bv in images:
-            raise ValueError(f"images[{key}] repeats {bv}")
-        images[bv] = parse_element(_field_text(f"images[{key}]", value, "an element"))
-    return WindowMap(Window(radius), images)
-
-
-def classified_to_json(deriv: ClassifiedDerivation) -> dict:
-    return {
-        "c1": format_scalar(deriv.c1),
-        "c2": format_scalar(deriv.c2),
-        "c3": format_scalar(deriv.c3),
-        "inner": format_element(deriv.inner),
-    }
-
-
-def classified_from_json(data: dict) -> ClassifiedDerivation:
-    return ClassifiedDerivation(
-        *(parse_scalar(_field_text(f, data[f], "a scalar")) for f in ("c1", "c2", "c3")),
-        parse_element(_field_text("inner", data["inner"], "an element")),
-    )

@@ -1,4 +1,6 @@
-"""Recursive-descent parser for the element expression grammar.
+"""The one reader of outside input: element expressions and the JSON codecs.
+
+Element and basis-vector text follow the recursive-descent grammar
 
     element := ['-'] term (('+'|'-') term)*
     term    := [scalar '*'] basis | scalar
@@ -11,18 +13,35 @@ only meaningful when the scalar part of the whole expression cancels to
 zero ("0" denotes the zero element); any other bare scalar is rejected.
 The canonical printer lives in :mod:`svlie.algebra`; ``parse_element`` is
 its exact inverse.
+
+The JSON codecs write and read automorphism parameters, window maps and
+classified derivations.  Each decoder opens with ``_fields``, which refuses a
+missing or unknown field.  No engine module imports this one.
 """
 
 from __future__ import annotations
 
-from .algebra import BasisVector, C, Element, _MAX_TERMS
-from .scalar import ParseError, Scalar, ZERO, _scan_digits, _skip_ws, scan_scalar, scan_simple_scalar
+from .algebra import BasisVector, C, Element, Window, _MAX_TERMS, format_element
+from .autgroup import AutomorphismParams
+from .derivations import ClassifiedDerivation, WindowMap
+from .scalar import ParseError, Scalar, ZERO, _scan_digits, _skip_ws, format_scalar, parse_scalar
+from .scalar import scan_scalar, scan_simple_scalar
 
-__all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX"]
+__all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX", "params_to_json", "params_from_json",
+           "window_map_to_json", "window_map_from_json", "classified_to_json", "classified_from_json"]
 
 # Basis indices are capped to a machine range even though Python integers
 # are unbounded; wildly large indices are always a typo.
 MAX_INDEX = 2**63 - 1
+
+
+def _scan_index(text: str, pos: int) -> tuple[int, int]:
+    """The unsigned index at ``pos``, 1 to 19 ASCII digits within MAX_INDEX, and its end."""
+    end = _scan_digits(text, pos, len(str(MAX_INDEX)))
+    value = int(text[pos:end])
+    if value > MAX_INDEX:
+        raise ParseError(pos, f"index within +/-{MAX_INDEX}")
+    return value, end
 
 
 def _scan_basis(text: str, pos: int) -> tuple[BasisVector, int]:
@@ -38,10 +57,7 @@ def _scan_basis(text: str, pos: int) -> tuple[BasisVector, int]:
         if text[pos] == "-":
             sign = -1
         pos = _skip_ws(text, pos + 1)
-    end = _scan_digits(text, pos, len(str(MAX_INDEX)))
-    value = int(text[pos:end])
-    if value > MAX_INDEX:
-        raise ParseError(pos, f"index within +/-{MAX_INDEX}")
+    value, end = _scan_index(text, pos)
     pos = _skip_ws(text, end)
     if pos >= len(text) or text[pos] != "]":
         raise ParseError(pos, "']'")
@@ -117,3 +133,107 @@ def parse_element(text: str) -> Element:
             loose_offset, "'*' and a basis vector (bare scalar terms must cancel to zero)"
         )
     return Element(terms)
+
+
+def _field_text(field: str, value, what: str) -> str:
+    """The string a JSON field holds; a number or any other value names ``field``."""
+    if type(value) is not str:
+        raise TypeError(f"{field}: expected {what} string, not {type(value).__name__}")
+    return value
+
+
+def _fields(data: dict, required: tuple[str, ...], defaults: dict) -> dict:
+    """``data`` with ``defaults`` filled in; refuses a missing required field and a key in neither."""
+    for name in required:
+        if name not in data:
+            raise ValueError(f"missing field {name!r}")
+    for key in data:
+        if key not in required and key not in defaults:
+            raise ValueError(f"unknown field {key!r}")
+    return {**defaults, **data}
+
+
+def _parse_position(key: str) -> int:
+    """A b/c position key: an optional '-' and an index, nothing else."""
+    start = 1 if key.startswith("-") else 0
+    value, end = _scan_index(key, start)
+    if end != len(key):
+        raise ParseError(end, "end of position")
+    return -value if start else value
+
+
+def params_to_json(p: AutomorphismParams) -> dict:
+    """Canonical JSON form with numerically sorted b/c keys."""
+    return {
+        "b": {str(j): format_scalar(v) for j, v in p.b.items()},
+        "c": {str(k): format_scalar(v) for k, v in p.c.items()},
+        "i": p.i,
+        "u": format_scalar(p.u),
+        "w": format_scalar(p.w),
+        "alpha": format_scalar(p.alpha),
+        "beta": format_scalar(p.beta),
+        "gamma": format_scalar(p.gamma),
+    }
+
+
+def params_from_json(data: dict) -> AutomorphismParams:
+    fields = _fields(data, ("u", "w"), {"b": {}, "c": {}, "i": 0, "alpha": "0", "beta": "0", "gamma": "0"})
+
+    def scalar(field: str, value) -> Scalar:
+        return parse_scalar(_field_text(field, value, "a scalar"))
+
+    def seq(field: str) -> dict[int, Scalar]:
+        raw = fields[field]
+        if not isinstance(raw, dict):
+            raise ValueError(f"{field} must be an object of position -> scalar")
+        if len(raw) > _MAX_TERMS:
+            raise ValueError(f"{field} has {len(raw)} entries, over the limit of {_MAX_TERMS}")
+        values = {}
+        for key, value in raw.items():
+            pos = _parse_position(key)
+            if pos in values:
+                raise ValueError(f"{field}[{key}] repeats position {pos}")
+            values[pos] = scalar(f"{field}[{key}]", value)
+        return values
+
+    scalars = (scalar(f, fields[f]) for f in ("u", "w", "alpha", "beta", "gamma"))
+    return AutomorphismParams(seq("b"), seq("c"), fields["i"], *scalars)
+
+
+def window_map_to_json(dmap: WindowMap) -> dict:
+    """JSON form: {"radius": N, "images": {"L[1]": "<element expr>", ...}}, in basis order."""
+    images = {str(bv): format_element(dmap.image(bv)) for bv in dmap.window.vectors()}
+    return {"radius": dmap.window.radius, "images": images}
+
+
+def window_map_from_json(data: dict) -> WindowMap:
+    fields = _fields(data, ("radius", "images"), {})
+    radius, raw = fields["radius"], fields["images"]
+    if type(radius) is not int:
+        raise ValueError("radius must be an integer")
+    if not isinstance(raw, dict):
+        raise ValueError("images must be an object of basis vector -> element")
+    images = {}
+    for key, value in raw.items():
+        bv = parse_basis_vector(key)
+        if bv in images:
+            raise ValueError(f"images[{key}] repeats {bv}")
+        images[bv] = parse_element(_field_text(f"images[{key}]", value, "an element"))
+    return WindowMap(Window(radius), images)
+
+
+def classified_to_json(deriv: ClassifiedDerivation) -> dict:
+    return {
+        "c1": format_scalar(deriv.c1),
+        "c2": format_scalar(deriv.c2),
+        "c3": format_scalar(deriv.c3),
+        "inner": format_element(deriv.inner),
+    }
+
+
+def classified_from_json(data: dict) -> ClassifiedDerivation:
+    fields = _fields(data, ("c1", "c2", "c3", "inner"), {})
+    return ClassifiedDerivation(
+        *(parse_scalar(_field_text(f, fields[f], "a scalar")) for f in ("c1", "c2", "c3")),
+        parse_element(_field_text("inner", fields["inner"], "an element")),
+    )

@@ -347,13 +347,6 @@ def parse_scalar(text: str) -> Scalar:
     return value
 
 
-def _field_text(field: str, value, what: str) -> str:
-    """The string a JSON field holds; a number or any other value names ``field``."""
-    if type(value) is not str:
-        raise TypeError(f"{field}: expected {what} string, not {type(value).__name__}")
-    return value
-
-
 class LinearSystem:
     """A sparse exact linear system: rows of Gaussian-rational entries.
 

@@ -35,7 +35,6 @@ from .autgroup import (
     factorize,
     identity,
     invert,
-    params_to_json,
 )
 from .derivations import (
     ClassifiedDerivation,
@@ -48,6 +47,7 @@ from .derivations import (
     leibniz_check,
     outer_independence_kernel,
 )
+from .expr import params_to_json
 from .scalar import ONE, Scalar, ZERO, format_scalar
 
 __all__ = ["SUITES", "SplitMix64", "run_suite", "render_text"]

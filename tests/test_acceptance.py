@@ -27,8 +27,6 @@ from svlie.autgroup import (
     factorize,
     identity,
     invert,
-    params_from_json,
-    params_to_json,
 )
 from svlie.derivations import (
     ClassifiedDerivation,
@@ -40,7 +38,7 @@ from svlie.derivations import (
     leibniz_check,
     outer_independence_kernel,
 )
-from svlie.expr import parse_element
+from svlie.expr import params_from_json, params_to_json, parse_element
 from svlie.scalar import ONE, ZERO, format_scalar, parse_scalar
 from svlie.verify import (
     SplitMix64,

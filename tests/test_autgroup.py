@@ -19,10 +19,9 @@ from svlie.autgroup import (
     identity,
     invert,
     is_automorphism_window,
-    params_from_json,
-    params_to_json,
 )
 from svlie.derivations import WindowMap
+from svlie.expr import params_from_json, params_to_json
 from svlie.scalar import I, ONE, Scalar, ZERO
 from svlie.verify import SplitMix64, random_params
 

@@ -9,16 +9,10 @@ from svlie.autgroup import (
     AutomorphismParams,
     automorphism_window_map,
     identity,
-    params_from_json,
-    params_to_json,
 )
 from svlie.cli import _build_parser, main
-from svlie.derivations import (
-    ClassifiedDerivation,
-    classified_to_json,
-    classified_window_map,
-    window_map_to_json,
-)
+from svlie.derivations import ClassifiedDerivation, classified_window_map
+from svlie.expr import classified_to_json, params_from_json, params_to_json, window_map_to_json
 from svlie.scalar import ONE, Scalar
 
 
@@ -314,6 +308,26 @@ def test_missing_field_exits_2_and_names_it(tmp_path, capsys, argv, content, fie
     assert code == 2
     assert out == ""
     assert err == f"error: {j_file}: missing field '{field}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content, field",
+    [
+        (["apply-aut", "L[1]", "--params"], '{"u": "1", "w": "1", "gama": "1"}', "gama"),
+        (["invert"], '{"B": {"1": "1"}, "u": "1", "w": "1"}', "B"),
+        (["apply-der", "L[0]", "--params"], '{"c1": "1", "c2": "0", "c3": "0", "inner": "0", "c4": "1"}',
+         "c4"),
+        (["factorize"], '{"radius": 3, "radius2": 4, "images": {}}', "radius2"),
+    ],
+    ids=["params-gama", "params-B", "derivation-c4", "window-map-radius2"],
+)
+def test_unknown_field_exits_2_and_names_it(tmp_path, capsys, argv, content, field):
+    j_file = tmp_path / "f.json"
+    j_file.write_text(content)
+    code, out, err = run(capsys, *argv, str(j_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {j_file}: unknown field '{field}'\n"
 
 
 def _sum_of_terms(n):

@@ -15,16 +15,17 @@ st = hypothesis.strategies
 given = hypothesis.given
 
 from svlie.algebra import BasisVector, C, Element, Window, ZERO_ELEMENT  # noqa: E402
-from svlie.autgroup import AutomorphismParams, params_from_json, params_to_json  # noqa: E402
-from svlie.derivations import (  # noqa: E402
-    ClassifiedDerivation,
-    WindowMap,
+from svlie.autgroup import AutomorphismParams  # noqa: E402
+from svlie.derivations import ClassifiedDerivation, WindowMap  # noqa: E402
+from svlie.expr import (  # noqa: E402
+    MAX_INDEX,
     classified_from_json,
     classified_to_json,
+    params_from_json,
+    params_to_json,
     window_map_from_json,
     window_map_to_json,
 )
-from svlie.expr import MAX_INDEX  # noqa: E402
 from svlie.scalar import Scalar  # noqa: E402
 
 rationals = st.builds(

@@ -9,17 +9,14 @@ from svlie.derivations import (
     DerivationError,
     WindowMap,
     apply_classified,
-    classified_from_json,
-    classified_to_json,
     classified_window_map,
     classify_degree0,
     decompose,
     equivariant_hom_nullity,
     leibniz_check,
     outer_independence_kernel,
-    window_map_from_json,
-    window_map_to_json,
 )
+from svlie.expr import classified_from_json, classified_to_json, window_map_from_json, window_map_to_json
 from svlie.scalar import ONE, Scalar, ZERO
 from svlie.verify import SplitMix64, random_classified, random_degree0
 
@@ -272,7 +269,15 @@ def test_window_map_json_roundtrip():
     data = window_map_to_json(wmap)
     assert data["radius"] == 3
     assert data["images"]["L[0]"] == "-Y[1] + M[0]"
+    # Window.vectors() is already in basis order, so the encoder does not sort
+    assert list(data["images"]) == [str(bv) for bv in sorted(wmap.images, key=lambda bv: bv.sort_key())]
     assert window_map_from_json(data) == wmap
+
+
+@pytest.mark.parametrize("inner", [L(1), single(L(1)).terms(), "L[1]", None])
+def test_classified_derivation_refuses_an_inner_part_that_is_not_an_element(inner):
+    with pytest.raises(TypeError, match="inner must be an Element"):
+        ClassifiedDerivation(inner=inner)
 
 
 def test_classified_json_roundtrip():

@@ -3,7 +3,9 @@
 - every imported name is used in its module (``__init__.py`` re-exports and
   ``from __future__`` imports are exempt);
 - every ``__all__`` entry is defined in its module;
-- ``svlie/__init__.py`` imports from a module only names in that module's ``__all__``.
+- ``svlie/__init__.py`` imports from a module only names in that module's ``__all__``;
+- every other module imports only from modules before it in ``LAYERS``, so the
+  engine (``scalar`` to ``autgroup``) never reaches the reader of outside input.
 """
 
 import ast
@@ -15,6 +17,7 @@ import svlie
 
 PACKAGE = Path(svlie.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+LAYERS = ("scalar", "algebra", "derivations", "autgroup", "expr", "verify", "cli")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -79,3 +82,18 @@ def test_the_package_imports_only_public_names():
             public = set(_all(_tree(PACKAGE / f"{node.module}.py")))
             stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
     assert not stray, f"svlie/__init__.py imports names outside their module's __all__: {stray}"
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in MODULES if p.name != "__init__.py") == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_each_module_imports_only_earlier_layers(name):
+    earlier = set(LAYERS[: LAYERS.index(name)])
+    imported = {
+        node.module.split(".")[0]
+        for node in ast.walk(_tree(PACKAGE / f"{name}.py"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+    assert imported <= earlier, f"{name}.py imports from later layers {sorted(imported - earlier)}"

@@ -7,8 +7,9 @@ import pytest
 
 from svlie import algebra, derivations, verify
 from svlie.algebra import C, L, M, Window, Y, jacobi_residual, single
-from svlie.autgroup import AutomorphismParams, identity, params_to_json
+from svlie.autgroup import AutomorphismParams, identity
 from svlie.derivations import ClassifiedDerivation, WindowMap
+from svlie.expr import params_to_json
 from svlie.scalar import ONE, Scalar, ZERO, format_scalar
 from svlie.verify import SplitMix64, SUITES, render_text, run_suite
 
