@@ -10,6 +10,8 @@ Basis ``{L[n], Y[n], M[n], C : n in Z}`` over Gaussian rationals, with
 
 Elements, brackets and the nilpotent exponentials below are always exact;
 windows only bound which test cases get enumerated, never the arithmetic.
+Elements stay zero-free: a composite such as ``exp_ad`` is built in one
+term dict, and a term is dropped the moment it cancels.
 """
 
 from __future__ import annotations
@@ -109,6 +111,29 @@ def M(n: int) -> BasisVector:
 C = BasisVector("C")
 
 
+def _checked_term(term) -> tuple[BasisVector, Scalar]:
+    bv, coeff = term
+    # check the key before a zero coefficient would drop it unseen
+    if bv.__class__ is not BasisVector:
+        raise TypeError(f"element terms must be keyed by BasisVector, not {bv!r}")
+    return bv, Scalar.coerce(coeff)
+
+
+def _add_into(acc: dict, items, factor=None) -> dict:
+    """Add each ``(bv, cf)`` of ``items``, times ``factor`` if given, into ``acc``;
+    a term is dropped the moment it cancels, so a zero-free ``acc`` stays zero-free."""
+    for bv, cf in items:
+        if factor is not None:
+            cf = cf * factor
+        prev = acc.get(bv)
+        total = cf if prev is None else prev + cf
+        if total:
+            acc[bv] = total
+        elif prev is not None:
+            del acc[bv]
+    return acc
+
+
 class Element:
     """Finitely supported linear combination of basis vectors over Scalar.
 
@@ -118,19 +143,8 @@ class Element:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        data: dict[BasisVector, Scalar] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for bv, coeff in items:
-            coeff = Scalar.coerce(coeff)
-            if not coeff:
-                continue
-            acc = data.get(bv)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                data[bv] = total
-            elif acc is not None:
-                del data[bv]
-        self._terms = data
+        self._terms = _add_into({}, map(_checked_term, items))
 
     @classmethod
     def _wrap(cls, clean: dict[BasisVector, Scalar]) -> "Element":
@@ -161,18 +175,12 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        data = dict(self._terms)
-        for bv, cf in other._terms.items():
-            acc = data.get(bv)
-            total = cf if acc is None else acc + cf
-            if total:
-                data[bv] = total
-            elif acc is not None:
-                del data[bv]
-        return Element._wrap(data)
+        return Element._wrap(_add_into(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        if not isinstance(other, Element):
+            return NotImplemented
+        return Element._wrap(_add_into(dict(self._terms), other._terms.items(), -1))
 
     def __neg__(self) -> "Element":
         return Element._wrap({bv: -cf for bv, cf in self._terms.items()})
@@ -257,23 +265,20 @@ def bracket_basis(a: BasisVector, b: BasisVector) -> Element:
     return ZERO_ELEMENT
 
 
-def bracket(x: Element, y: Element) -> Element:
-    """Bilinear extension of the basis bracket table."""
-    acc: dict[BasisVector, Scalar] = {}
+def _bracket_into(acc: dict, x: Element, y: Element, factor=None) -> dict:
+    """Add ``[x, y]``, times ``factor`` if given, into ``acc`` as ``_add_into`` does."""
     for a, ca in x._terms.items():
         for b, cb in y._terms.items():
             base = bracket_basis(a, b)._terms
-            if not base:
-                continue
-            scale = ca * cb
-            for bv, cf in base.items():
-                prev = acc.get(bv)
-                total = scale * cf if prev is None else prev + scale * cf
-                if total:
-                    acc[bv] = total
-                elif prev is not None:
-                    del acc[bv]
-    return Element._wrap(acc)
+            if base:
+                scale = ca * cb
+                _add_into(acc, base.items(), scale if factor is None else scale * factor)
+    return acc
+
+
+def bracket(x: Element, y: Element) -> Element:
+    """Bilinear extension of the basis bracket table."""
+    return Element._wrap(_bracket_into({}, x, y))
 
 
 _HALF = Scalar(Fraction(1, 2))
@@ -289,17 +294,17 @@ def exp_ad(x: Element, target: Element) -> Element:
         if bv.kind not in ("Y", "M"):
             raise ValueError(f"ad not nilpotent / not in inner radical: {bv}")
     first = bracket(x, target)
-    second = bracket(x, first)
-    return target + first + second * _HALF
+    if first.is_zero():
+        return target
+    acc = _add_into(dict(target._terms), first._terms.items())
+    return Element._wrap(_bracket_into(acc, x, first, _HALF))
 
 
 def jacobi_residual(x: Element, y: Element, z: Element) -> Element:
     """[[x,y],z] + [[y,z],x] + [[z,x],y]; zero whenever the table is a Lie bracket."""
-    return (
-        bracket(bracket(x, y), z)
-        + bracket(bracket(y, z), x)
-        + bracket(bracket(z, x), y)
-    )
+    acc = _bracket_into({}, bracket(x, y), z)
+    _bracket_into(acc, bracket(y, z), x)
+    return Element._wrap(_bracket_into(acc, bracket(z, x), y))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .algebra import (
     L,
     M,
     Y,
-    _HALF,
+    _add_into,
     bracket,
     exp_ad,
     single,
@@ -151,7 +151,7 @@ def _tail(p: AutomorphismParams) -> Callable[[Element], Element]:
 
     def tail(x: Element) -> Element:
         if outer:
-            x = x + _apply_outer(p.gamma, p.beta, ZERO, x)
+            x = _apply_outer(p.gamma, p.beta, ZERO, x, x)
         if shear is not None:
             x = exp_ad(shear, x)
         if not (p.i or kind_factor or scale_degree):
@@ -219,7 +219,9 @@ def compose(p: AutomorphismParams, q: AutomorphismParams) -> AutomorphismParams:
 
     xi_p = _inner_argument(p.b, p.c)
     eta = _tail(p)(_inner_argument(q.b, q.c))
-    b2, c2 = _split_inner(xi_p + eta + bracket(xi_p, eta) * _HALF)
+    bch = _add_into(dict(xi_p._terms), eta._terms.items())
+    _add_into(bch, bracket(xi_p, eta)._terms.items(), ONE / 2)
+    b2, c2 = _split_inner(Element._wrap(bch))
     return AutomorphismParams(b2, c2, i2, u2, w2, alpha2, beta2, gamma2)
 
 
@@ -243,7 +245,7 @@ def is_automorphism_window(
     dmap: WindowMap,
 ) -> list[tuple[BasisVector, BasisVector, Element]]:
     """Violations of m[x,y] = [m(x), m(y)] over in-window pairs, with residuals."""
-    return _bracket_violations(dmap, lambda x, y: bracket(dmap.image(x), dmap.image(y)))
+    return _bracket_violations(dmap, lambda x, y: (bracket(dmap.image(x), dmap.image(y)),))
 
 
 def factorize(dmap: WindowMap) -> AutomorphismParams:

@@ -16,7 +16,7 @@ from .autgroup import compose, factorize, invert, apply as apply_automorphism
 from .derivations import apply_classified
 from .expr import classified_from_json, params_from_json, params_to_json, parse_element
 from .expr import window_map_from_json
-from .scalar import ParseError, _scan_digits
+from .scalar import ParseError
 from .verify import SUITES, render_text, run_suite
 
 
@@ -142,12 +142,9 @@ def _count(ceiling: int):
 
 def _seed(text: str) -> int:
     """argparse type: an optional '-' and 1 to 20 ASCII digits."""
-    start = 1 if text.startswith("-") else 0
-    try:
-        if _scan_digits(text, start, 20) == len(text):
-            return int(text)
-    except ParseError:
-        pass
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit() and len(digits) <= 20:
+        return int(text)
     raise argparse.ArgumentTypeError("must be an optional '-' and 1 to 20 ASCII digits")
 
 

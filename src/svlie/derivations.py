@@ -26,6 +26,7 @@ from .algebra import (
     Window,
     Y,
     ZERO_ELEMENT,
+    _add_into,
     _constraint_system,
     bracket,
     bracket_basis,
@@ -68,29 +69,32 @@ class ClassifiedDerivation:
             raise TypeError(f"inner must be an Element, not {type(self.inner).__name__}")
 
 
-def _outer_image(c1: Scalar, c2: Scalar, c3: Scalar, bv: BasisVector) -> Element:
+def _outer_term(c1: Scalar, c2: Scalar, c3: Scalar, bv: BasisVector) -> tuple[BasisVector, Scalar]:
+    """The image of ``bv`` under ``c1*R1 + c2*R2 + c3*R3`` as one term; C's coefficient is zero."""
     if bv.kind == "L":
-        return single(M(bv.index), c1 + c2 * bv.index)
+        return M(bv.index), c1 + c2 * bv.index
     if bv.kind == "Y":
-        return single(Y(bv.index), c3)
+        return bv, c3
     if bv.kind == "M":
-        return single(M(bv.index), 2 * c3)
-    return ZERO_ELEMENT
+        return bv, 2 * c3
+    return bv, ZERO
 
 
-def _apply_outer(c1: Scalar, c2: Scalar, c3: Scalar, x: Element) -> Element:
-    """Linear extension of ``c1*R1 + c2*R2 + c3*R3``."""
-    out = ZERO_ELEMENT
+def _apply_outer(
+    c1: Scalar, c2: Scalar, c3: Scalar, x: Element, base: Element = ZERO_ELEMENT
+) -> Element:
+    """``base`` plus the linear extension of ``c1*R1 + c2*R2 + c3*R3`` to ``x``, in one dict."""
+    terms = []
     for bv, cf in x._terms.items():
-        image = _outer_image(c1, c2, c3, bv)
-        if not image.is_zero():
-            out = out + image * cf
-    return out
+        target, scale = _outer_term(c1, c2, c3, bv)
+        if scale:
+            terms.append((target, scale * cf))
+    return Element._wrap(_add_into(dict(base._terms), terms))
 
 
 def apply_classified(deriv: ClassifiedDerivation, x: Element) -> Element:
     """Linear extension of the classified rules plus the inner bracket action."""
-    return bracket(deriv.inner, x) + _apply_outer(deriv.c1, deriv.c2, deriv.c3, x)
+    return _apply_outer(deriv.c1, deriv.c2, deriv.c3, x, bracket(deriv.inner, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +131,14 @@ def classified_window_map(deriv: ClassifiedDerivation, radius: int) -> WindowMap
     """The exact (untruncated) action of a classified derivation on a window."""
     if deriv.inner.is_zero():
         c1, c2, c3 = deriv.c1, deriv.c2, deriv.c3
-        return WindowMap.from_function(radius, lambda bv: _outer_image(c1, c2, c3, bv))
+        return WindowMap.from_function(radius, lambda bv: single(*_outer_term(c1, c2, c3, bv)))
     return WindowMap.from_function(radius, lambda bv: apply_classified(deriv, single(bv)))
 
 
 def _bracket_violations(
-    dmap: WindowMap, rhs: Callable[[BasisVector, BasisVector], Element]
+    dmap: WindowMap, rhs: Callable[[BasisVector, BasisVector], tuple[Element, ...]]
 ) -> list[tuple[BasisVector, BasisVector, Element]]:
-    """Pairs x < y where m([x,y]) differs from rhs(x, y), with the residual.
+    """Pairs x < y where m([x,y]) differs from the sum of rhs(x, y), with the residual.
 
     A pair of in-window generators is compared when, and only when, [x,y]
     is supported inside the window.  Its left side then reads only the
@@ -148,12 +152,13 @@ def _bracket_violations(
             xy = bracket_basis(x, y)
             if not window.contains(xy):
                 continue
-            lhs = ZERO_ELEMENT
-            for bv, cf in xy.terms():
-                lhs = lhs + dmap.image(bv) * cf
-            residual = lhs - rhs(x, y)
-            if not residual.is_zero():
-                violations.append((x, y, residual))
+            residual: dict[BasisVector, Scalar] = {}
+            for bv, cf in xy._terms.items():
+                _add_into(residual, dmap.image(bv)._terms.items(), cf)
+            for part in rhs(x, y):
+                _add_into(residual, part._terms.items(), -1)
+            if residual:
+                violations.append((x, y, Element._wrap(residual)))
     return violations
 
 
@@ -166,7 +171,7 @@ def leibniz_check(dmap: WindowMap) -> list[tuple[BasisVector, BasisVector, Eleme
     """
     return _bracket_violations(
         dmap,
-        lambda x, y: bracket(dmap.image(x), single(y)) + bracket(single(x), dmap.image(y)),
+        lambda x, y: (bracket(dmap.image(x), single(y)), bracket(single(x), dmap.image(y))),
     )
 
 
@@ -193,7 +198,7 @@ def classify_degree0(dmap: WindowMap) -> ClassifiedDerivation:
     d = dmap.image(L(1)).coeff(M(1)) - d1
     g0 = dmap.image(Y(0)).coeff(Y(0))
     for bv in window.vectors():
-        if dmap.image(bv) != _outer_image(d1, d, g0, bv):
+        if dmap.image(bv) != single(*_outer_term(d1, d, g0, bv)):
             raise DerivationError(f"not a derivation of the stated form: {bv}")
     return ClassifiedDerivation(d1, d, g0)
 
@@ -213,7 +218,7 @@ def decompose(dmap: WindowMap) -> ClassifiedDerivation:
         raise ValueError("decompose needs window radius >= 3")
     img_l0 = dmap.image(L(0))
     z = Element(
-        [(bv, -cf / bv.degree) for bv, cf in img_l0.terms() if bv.degree != 0]
+        [(bv, -cf / bv.degree) for bv, cf in img_l0._terms.items() if bv.degree != 0]
     )
     residual_l1 = dmap.image(L(1)) - bracket(z, single(L(1)))
     a = residual_l1.coeff(L(1))
@@ -242,7 +247,7 @@ def outer_independence_kernel(
     def constraints():
         for g in gens:
             for unit in units:
-                yield g, unit, _outer_image(*unit, g)
+                yield g, unit, single(*_outer_term(*unit, g))
             for z in gens:
                 yield g, z, -bracket_basis(z, g)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from svlie import algebra
 from svlie.algebra import (
     BasisVector,
     C,
@@ -251,3 +252,88 @@ def test_element_equality_and_zero_dropping():
     assert el((L(1), 0)) == ZERO_ELEMENT
     assert el((L(1), 2), (C, 1)) == el((C, 1), (L(1), 2))
     assert single(L(1)) != single(Y(1))
+
+
+def test_element_refuses_a_key_that_is_not_a_basis_vector():
+    for terms in ([("L", 1)], [("L", 0)], {("L", 1): 2}, [(L(1), 1), (1, 1)]):
+        with pytest.raises(TypeError, match="keyed by BasisVector"):
+            Element(terms)
+    with pytest.raises(TypeError, match="'L'"):
+        Element([("L", 1)])
+
+
+# The fused composites below build one term dict; each is compared with the
+# operator chain it replaced, on seeded inputs and on inputs built to cancel.
+
+
+def _zero_free(e):
+    return all(e._terms.values())
+
+
+def _radical_element(rng, count):
+    return Element(
+        [(BasisVector(rng.choice("YM"), rng.randint(-4, 4)), random_scalar(rng)) for _ in range(count)]
+    )
+
+
+def _chain_exp_ad(x, t):
+    first = bracket(x, t)
+    return t + first + bracket(x, first) * Scalar(Fraction(1, 2))
+
+
+def test_sub_matches_adding_the_negation_and_stays_zero_free():
+    rng = SplitMix64(211)
+    for _ in range(40):
+        x, y = random_element(rng, 4), random_element(rng, 4)
+        z = x * random_scalar(rng) + y  # shares terms with y, so y - z cancels them
+        for a, b in ((x, y), (y, z), (x, x), (x + y, y)):
+            diff = a - b
+            assert diff == a + (-b)
+            assert _zero_free(diff)
+        assert (x - x).is_zero() and (x - x)._terms == {}
+
+
+def test_exp_ad_matches_its_operator_chain_and_stays_zero_free():
+    rng = SplitMix64(223)
+    for _ in range(40):
+        x, t0 = _radical_element(rng, rng.randint(1, 3)), random_element(rng, 4)
+        # [x, [x, t0]] lies in the M span, which commutes with x, so t has the
+        # first and second order of t0, and its added M terms cancel the second
+        t = t0 - bracket(x, bracket(x, t0)) * Scalar(Fraction(1, 2))
+        for target in (t0, t, t0 + x, t0 - x):
+            got = exp_ad(x, target)
+            assert got == _chain_exp_ad(x, target)
+            assert _zero_free(got)
+        assert exp_ad(x, t) == t0 + bracket(x, t0)
+        assert exp_ad(x + (-x), t0) == t0
+    # [Y[1], L[4]] = Y[5] and [Y[1], Y[5]] = 4 M[6]: the second order cancels
+    # the target's M[6], and the first order the target's Y[5]
+    y1 = single(Y(1))
+    assert exp_ad(y1, el((L(4), 1), (M(6), -2)))._terms == {L(4): Scalar(1), Y(5): Scalar(1)}
+    assert exp_ad(y1, el((L(4), 1), (Y(5), -1)))._terms == {L(4): Scalar(1), M(6): Scalar(-2)}
+
+
+def _chain_jacobi(x, y, z):
+    return bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_jacobi_residual_matches_its_operator_chain_and_stays_zero_free(monkeypatch, corrupt):
+    if corrupt:
+        # a table that is no Lie bracket, so the residual has terms to keep and to cancel
+        table = bracket_basis
+
+        def corrupted(a, b):
+            return single(M(a.index + b.index), 3) if (a.kind, b.kind) == ("Y", "L") else table(a, b)
+
+        monkeypatch.setattr(algebra, "bracket_basis", corrupted)
+    rng = SplitMix64(227)
+    nonzero = 0
+    for _ in range(40):
+        x, y, z = (random_element(rng, 3) for _ in range(3))
+        for args in ((x, y, z), (x, -x, z), (x, y, x + y)):
+            got = jacobi_residual(*args)
+            assert got == _chain_jacobi(*args)
+            assert _zero_free(got)
+            nonzero += not got.is_zero()
+    assert (nonzero > 0) == corrupt

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from svlie.algebra import BasisVector, C, Element, L, M, Window, Y, exp_ad, single
+from svlie.algebra import BasisVector, C, Element, L, M, Window, Y, bracket, exp_ad, single
 from svlie.autgroup import (
     AutomorphismParams,
     FactorizationError,
@@ -23,7 +23,7 @@ from svlie.autgroup import (
 from svlie.derivations import WindowMap
 from svlie.expr import params_from_json, params_to_json
 from svlie.scalar import I, ONE, Scalar, ZERO
-from svlie.verify import SplitMix64, random_params
+from svlie.verify import SplitMix64, random_element, random_params, random_scalar
 
 
 # A Fraction-only bracket and automorphism action that imports nothing from
@@ -471,3 +471,58 @@ def test_group_operations_agree_with_the_independent_oracle():
             assert oracle.apply(p_inv, oracle.apply(op, x)) == x
         images = {BasisVector(*bv): from_oracle(oracle.apply(op, x)) for x in gens for bv in x}
         assert factorize(WindowMap(Window(3), images)) == p
+
+
+# The tail's outer step and compose's merge of two inner exponents each build
+# one term dict; they are compared with the operator chains they replaced.
+
+
+def _zero_free(e):
+    return all(e._terms.values())
+
+
+def test_shear_outer_step_cancels_inside_the_tail():
+    # the outer step sends L[n] to L[n] + (gamma + beta*n) M[n], so an input M[n]
+    # of the opposite coefficient cancels there, before the Y[0] exponential
+    rng = SplitMix64(229)
+    for _ in range(20):
+        alpha, beta, gamma = (random_scalar(rng) for _ in range(3))
+        n = rng.randint(-4, 4)
+        x = Element([(L(n), 1), (M(n), -(gamma + beta * n))])
+        assert apply(shear(ZERO, beta, gamma), x)._terms == {L(n): ONE}
+        image = apply(shear(alpha, beta, gamma), x)
+        assert image == _shear_closed_form(alpha, beta, gamma, x)
+        assert _zero_free(image)
+        p, y = random_params(rng), random_element(rng, 4)
+        assert _zero_free(apply(p, y))
+
+
+def _inner(p):
+    return Element([(Y(j), cf) for j, cf in p.b.items()] + [(M(k), cf) for k, cf in p.c.items()])
+
+
+def _chain_merge(p, q):
+    """(b, c) of xi_p + eta + [xi_p, eta]/2 by the operator chain, eta = tail_p(xi_q)."""
+    xi_p = _inner(p)
+    eta = apply(replace(p, b={}, c={}), _inner(q))
+    total = xi_p + eta + bracket(xi_p, eta) * sc(1, 2)
+    b = {bv.index: cf for bv, cf in total.terms() if bv.kind == "Y"}
+    return b, {bv.index: cf for bv, cf in total.terms() if bv.kind == "M" and bv.index}
+
+
+def test_compose_merge_matches_its_operator_chain_and_stays_zero_free():
+    rng = SplitMix64(233)
+    for _ in range(30):
+        p, q = random_params(rng), random_params(rng)
+        # q_y's inner part is carried by p's tail onto minus the Y part of xi_p,
+        # so that part cancels in the merge; invert(p) cancels all of it
+        pre = apply(invert(replace(p, b={}, c={})), Element([(Y(j), -cf) for j, cf in p.b.items()]))
+        q_y = AutomorphismParams(
+            b={bv.index: cf for bv, cf in pre._terms.items() if bv.kind == "Y"},
+            c={bv.index: cf for bv, cf in pre._terms.items() if bv.kind == "M" and bv.index},
+        )
+        for r in (q, q_y, invert(p)):
+            merged = compose(p, r)
+            assert (dict(merged.b), dict(merged.c)) == _chain_merge(p, r)
+            assert all(merged.b.values()) and all(merged.c.values())
+        assert not compose(p, q_y).b

@@ -18,7 +18,7 @@ from svlie.derivations import (
 )
 from svlie.expr import classified_from_json, classified_to_json, window_map_from_json, window_map_to_json
 from svlie.scalar import ONE, Scalar, ZERO
-from svlie.verify import SplitMix64, random_classified, random_degree0
+from svlie.verify import SplitMix64, random_classified, random_degree0, random_element
 
 RULE1 = ClassifiedDerivation(c1=ONE)
 RULE2 = ClassifiedDerivation(c2=ONE)
@@ -287,3 +287,33 @@ def test_classified_json_roundtrip():
     data = classified_to_json(deriv)
     assert classified_from_json(data) == deriv
     assert data["c2"] == "1i"
+
+
+def _chain_classified(deriv, x):
+    """bracket(inner, x) plus each term's rule image times its coefficient, link by link."""
+    rules = {
+        "L": lambda n: single(M(n), deriv.c1 + deriv.c2 * n),
+        "Y": lambda n: single(Y(n), deriv.c3),
+        "M": lambda n: single(M(n), 2 * deriv.c3),
+        "C": lambda n: Element(),
+    }
+    out = bracket(deriv.inner, x)
+    for bv, cf in x.terms():
+        out = out + rules[bv.kind](bv.index) * cf
+    return out
+
+
+def test_apply_classified_matches_its_operator_chain_and_stays_zero_free():
+    rng = SplitMix64(239)
+    for _ in range(40):
+        deriv, x = random_classified(rng, 4), random_element(rng, 4)
+        n = rng.randint(-4, 4)
+        # the rules send L[n] and M[n] both onto M[n]; these coefficients cancel there
+        cancel = Element([(L(n), 2 * deriv.c3), (M(n), -(deriv.c1 + deriv.c2 * n))])
+        for y in (x, cancel, x + cancel, x - x):
+            got = apply_classified(deriv, y)
+            assert got == _chain_classified(deriv, y)
+            assert all(got._terms.values())
+    # the inner bracket cancels the outer rule: [-L[0]/3, Y[3]] = -Y[3]
+    deriv = ClassifiedDerivation(c3=ONE, inner=single(L(0), Fraction(-1, 3)))
+    assert apply_classified(deriv, single(Y(3)))._terms == {}

@@ -5,7 +5,8 @@
 - every ``__all__`` entry is defined in its module;
 - ``svlie/__init__.py`` imports from a module only names in that module's ``__all__``;
 - every other module imports only from modules before it in ``LAYERS``, so the
-  engine (``scalar`` to ``autgroup``) never reaches the reader of outside input.
+  engine (``scalar`` to ``autgroup``) never reaches the reader of outside input;
+- at most ``MAX_PRIVATE_IMPORTS`` private names are imported across modules.
 """
 
 import ast
@@ -18,6 +19,7 @@ import svlie
 PACKAGE = Path(svlie.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 LAYERS = ("scalar", "algebra", "derivations", "autgroup", "expr", "verify", "cli")
+MAX_PRIVATE_IMPORTS = 8
 
 
 def _tree(path: Path) -> ast.Module:
@@ -97,3 +99,19 @@ def test_each_module_imports_only_earlier_layers(name):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
     }
     assert imported <= earlier, f"{name}.py imports from later layers {sorted(imported - earlier)}"
+
+
+def test_few_private_names_cross_modules():
+    """The eight: autgroup imports ``_add_into`` from algebra and ``_apply_outer`` and
+    ``_bracket_violations`` from derivations; derivations imports ``_add_into`` and
+    ``_constraint_system`` from algebra; expr imports ``_MAX_TERMS`` from algebra and
+    ``_scan_digits`` and ``_skip_ws`` from scalar."""
+    crossing = sorted(
+        f"{path.stem} <- {node.module}.{alias.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert len(crossing) <= MAX_PRIVATE_IMPORTS, crossing

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from svlie import algebra, derivations, verify
+from svlie import algebra, cli, derivations, verify
 from svlie.algebra import C, L, M, Window, Y, jacobi_residual, single
 from svlie.autgroup import AutomorphismParams, identity
 from svlie.derivations import ClassifiedDerivation, WindowMap
@@ -314,3 +314,14 @@ def test_lemma36_failure_prints_pairs_and_each_disagreeing_component(monkeypatch
         }
         assert f"  [DISAGREE] {name}: " in text
         assert f"         printed {printed}  oracle {oracle}" in text
+
+
+# sha256 of `svlie verify --suite all --radius 4 --seed 0 --cases 100 --format json`
+ALL_REPORT_SHA256 = "21b36018497f5081a067da51efad46dab82d7f2e100cedda72566ac9f9b6bcc5"
+
+
+def test_the_all_report_matches_its_pinned_hash(capsys):
+    code = cli.main(["verify", "--suite", "all", "--radius", "4", "--seed", "0", "--cases", "100",
+                     "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ALL_REPORT_SHA256
