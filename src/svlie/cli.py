@@ -11,10 +11,10 @@ import functools
 import json
 import sys
 
-from .algebra import bracket, exp_ad, format_element
+from .algebra import Element, bracket, exp_ad, format_element
 from .autgroup import compose, factorize, invert, apply as apply_automorphism
 from .derivations import apply_classified
-from .expr import classified_from_json, params_from_json, params_to_json, parse_element
+from .expr import MAX_INDEX, classified_from_json, params_from_json, params_to_json, parse_element
 from .expr import window_map_from_json
 from .scalar import ParseError
 from .verify import SUITES, render_text, run_suite
@@ -54,63 +54,22 @@ def _load(path: str, decoder):
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _emit_element(element, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({"result": format_element(element)}, sort_keys=True))
+def _emit(result, fmt: str) -> None:
+    """Print an ``Element`` or ``AutomorphismParams`` result in ``fmt``.
+
+    A result with an index past ``MAX_INDEX`` (a basis index, or a ``b`` or
+    ``c`` position) is refused instead, so that every printed result parses back.
+    """
+    element = isinstance(result, Element)
+    indices = [bv.index for bv in result.support()] if element else [*result.b, *result.c]
+    far = max(map(abs, indices), default=0)
+    if far > MAX_INDEX:
+        raise ValueError(f"result index too large: {far} is past the input limit +/-{MAX_INDEX}")
+    if element:
+        text = format_element(result)
+        print(text if fmt == "text" else json.dumps({"result": text}))
     else:
-        print(format_element(element))
-
-
-def _emit_params(params, fmt: str) -> None:
-    payload = params_to_json(params)
-    if fmt == "json":
-        print(json.dumps(payload))
-    else:
-        print(json.dumps(payload, indent=2))
-
-
-def _cmd_bracket(args) -> int:
-    result = bracket(parse_element(args.x), parse_element(args.y))
-    _emit_element(result, args.format)
-    return 0
-
-
-def _cmd_apply_aut(args) -> int:
-    params = _load(args.params, params_from_json)
-    _emit_element(apply_automorphism(params, parse_element(args.expr)), args.format)
-    return 0
-
-
-def _cmd_apply_der(args) -> int:
-    deriv = _load(args.params, classified_from_json)
-    _emit_element(apply_classified(deriv, parse_element(args.expr)), args.format)
-    return 0
-
-
-def _cmd_compose(args) -> int:
-    p = _load(args.p, params_from_json)
-    q = _load(args.q, params_from_json)
-    _emit_params(compose(p, q), args.format)
-    return 0
-
-
-def _cmd_invert(args) -> int:
-    p = _load(args.p, params_from_json)
-    _emit_params(invert(p), args.format)
-    return 0
-
-
-def _cmd_factorize(args) -> int:
-    wmap = _load(args.map, window_map_from_json)
-    _emit_params(factorize(wmap), args.format)
-    return 0
-
-
-def _cmd_exp_ad(args) -> int:
-    _emit_element(
-        exp_ad(parse_element(args.arg), parse_element(args.target)), args.format
-    )
-    return 0
+        print(json.dumps(params_to_json(result), indent=2 if fmt == "text" else None))
 
 
 def _cmd_verify(args) -> int:
@@ -148,6 +107,46 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError("must be an optional '-' and 1 to 20 ASCII digits")
 
 
+# command -> (help, (argument, its help), run); ``run`` reads the inputs in
+# order and calls the engine through this module's globals, which tests and
+# the bench tracer rebind, so the table holds no engine function itself.
+_COMMANDS = {
+    "bracket": (
+        "bracket of two elements",
+        (("x", None), ("y", None)),
+        lambda a: bracket(parse_element(a.x), parse_element(a.y)),
+    ),
+    "apply-aut": (
+        "apply an automorphism",
+        (("--params", "automorphism parameter JSON file"), ("expr", None)),
+        lambda a: apply_automorphism(_load(a.params, params_from_json), parse_element(a.expr)),
+    ),
+    "apply-der": (
+        "apply a classified derivation",
+        (("--params", "classified derivation JSON file"), ("expr", None)),
+        lambda a: apply_classified(_load(a.params, classified_from_json), parse_element(a.expr)),
+    ),
+    "compose": (
+        "compose two automorphisms (left acts last)",
+        (("p", None), ("q", None)),
+        lambda a: compose(_load(a.p, params_from_json), _load(a.q, params_from_json)),
+    ),
+    "invert": (
+        "invert an automorphism", (("p", None),), lambda a: invert(_load(a.p, params_from_json))
+    ),
+    "factorize": (
+        "factor a window map into canonical parameters",
+        (("map", "window map JSON file"),),
+        lambda a: factorize(_load(a.map, window_map_from_json)),
+    ),
+    "exp-ad": (
+        "apply exp(ad x) for x in the Y/M span",
+        (("arg", None), ("target", None)),
+        lambda a: exp_ad(parse_element(a.arg), parse_element(a.target)),
+    ),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -162,46 +161,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bracket", parents=[common], help="bracket of two elements")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(handler=_cmd_bracket)
-
-    p = sub.add_parser("apply-aut", parents=[common], help="apply an automorphism")
-    p.add_argument("--params", required=True, help="automorphism parameter JSON file")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_apply_aut)
-
-    p = sub.add_parser("apply-der", parents=[common], help="apply a classified derivation")
-    p.add_argument("--params", required=True, help="classified derivation JSON file")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_apply_der)
-
-    p = sub.add_parser("compose", parents=[common], help="compose two automorphisms (left acts last)")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("invert", parents=[common], help="invert an automorphism")
-    p.add_argument("p")
-    p.set_defaults(handler=_cmd_invert)
-
-    p = sub.add_parser("factorize", parents=[common], help="factor a window map into canonical parameters")
-    p.add_argument("map", help="window map JSON file")
-    p.set_defaults(handler=_cmd_factorize)
-
-    p = sub.add_parser("exp-ad", parents=[common], help="apply exp(ad x) for x in the Y/M span")
-    p.add_argument("arg")
-    p.add_argument("target")
-    p.set_defaults(handler=_cmd_exp_ad)
-
+    for name, (text, arguments, run) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        for argument, argument_help in arguments:
+            required = {"required": True} if argument.startswith("-") else {}
+            p.add_argument(argument, help=argument_help, **required)
+        p.set_defaults(run=run)
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--radius", type=_count(_MAX_RADIUS), default=4)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cases", type=_count(_MAX_CASES), default=100)
-    p.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -209,7 +179,10 @@ def main(argv=None) -> int:
     # built on the first call and shared by later calls in the same process
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        _emit(args.run(args), args.format)
+        return 0
     except (ParseError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,7 +76,8 @@ def _outer_term(c1: Scalar, c2: Scalar, c3: Scalar, bv: BasisVector) -> tuple[Ba
     if bv.kind == "Y":
         return bv, c3
     if bv.kind == "M":
-        return bv, 2 * c3
+        # the automorphism tail always passes c3 = 0; skip the product then
+        return bv, 2 * c3 if c3 else c3
     return bv, ZERO
 
 

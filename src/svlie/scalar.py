@@ -56,8 +56,10 @@ class Scalar:
             _set_b(self, im)
             _set_d(self, 1)
             return
-        re = re if isinstance(re, Fraction) else Fraction(re)
-        im = im if isinstance(im, Fraction) else Fraction(im)
+        # Fraction() would also read a float or a string in silence; coerce refuses them too
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"Scalar parts must be int or Fraction, not {type(part).__name__}")
         dr, di = re.denominator, im.denominator
         a, b, d = re.numerator * di, im.numerator * dr, dr * di
         g = gcd(a, b, d)

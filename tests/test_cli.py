@@ -5,6 +5,7 @@ import pytest
 
 from svlie import cli
 
+from svlie.algebra import bracket
 from svlie.autgroup import (
     AutomorphismParams,
     automorphism_window_map,
@@ -12,7 +13,8 @@ from svlie.autgroup import (
 )
 from svlie.cli import _build_parser, main
 from svlie.derivations import ClassifiedDerivation, classified_window_map
-from svlie.expr import classified_to_json, params_from_json, params_to_json, window_map_to_json
+from svlie.expr import MAX_INDEX, classified_to_json, params_from_json, params_to_json, parse_element
+from svlie.expr import window_map_to_json
 from svlie.scalar import ONE, Scalar
 
 
@@ -136,6 +138,41 @@ def test_oversized_power_exits_1_before_it_is_built(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "scalar power too large" in err
+
+
+def test_result_index_past_max_index_exits_1(capsys):
+    # Y[n] and M[k] grow past the input limit; the engine computes them, the printer refuses
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "exp-ad", "--format", fmt, f"Y[{MAX_INDEX}]", f"L[{MAX_INDEX}]")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: result index too large: {3 * MAX_INDEX} is past the input limit "
+            f"+/-{MAX_INDEX}\n"
+        )
+
+
+def test_result_position_past_max_index_exits_1(tmp_path, capsys):
+    # [Y[j], Y[k]] feeds c at j + k
+    p_file, q_file = tmp_path / "p.json", tmp_path / "q.json"
+    p_file.write_text(json.dumps({"b": {str(MAX_INDEX): "1"}, "u": "1", "w": "1"}))
+    q_file.write_text(json.dumps({"b": {str(MAX_INDEX - 1): "1"}, "u": "1", "w": "1"}))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "compose", "--format", fmt, str(p_file), str(q_file))
+        assert code == 1
+        assert out == ""
+        assert f"result index too large: {2 * MAX_INDEX - 1} is past the input limit" in err
+
+
+def test_result_at_max_index_prints_and_parses_back(tmp_path, capsys):
+    code, out, _ = run(capsys, "bracket", "L[0]", f"Y[{MAX_INDEX}]")
+    assert code == 0
+    assert parse_element(out) == bracket(parse_element("L[0]"), parse_element(f"Y[{MAX_INDEX}]"))
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps({"b": {str(-MAX_INDEX): "1"}, "u": "1", "w": "1"}))
+    code, out, _ = run(capsys, "invert", str(p_file))
+    assert code == 0
+    assert params_from_json(json.loads(out)) == AutomorphismParams(b={-MAX_INDEX: -ONE})
 
 
 def test_apply_der(tmp_path, capsys):
@@ -399,6 +436,39 @@ def test_params_of_256_entries_are_accepted(tmp_path, capsys, field):
     code, out, _ = run(capsys, "invert", "--format", "json", str(p_file))
     assert code == 0
     assert len(json.loads(out)[field]) == 256
+
+
+def _stub(*args):
+    raise ValueError("stub")
+
+
+_ENGINE_CALLS = [
+    ("bracket", ["bracket", "L[1]", "L[2]"]),
+    ("apply_automorphism", ["apply-aut", "--params", "{p}", "L[1]"]),
+    ("apply_classified", ["apply-der", "--params", "{d}", "L[1]"]),
+    ("compose", ["compose", "{p}", "{p}"]),
+    ("invert", ["invert", "{p}"]),
+    ("factorize", ["factorize", "{m}"]),
+    ("exp_ad", ["exp-ad", "Y[1]", "L[1]"]),
+]
+
+
+def test_every_table_command_has_an_engine_call_case():
+    assert [argv[0] for _, argv in _ENGINE_CALLS] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("binding, argv", _ENGINE_CALLS, ids=[a[0] for _, a in _ENGINE_CALLS])
+def test_each_command_calls_the_engine_through_its_cli_binding(
+    tmp_path, capsys, monkeypatch, binding, argv
+):
+    # bench/tracer.py times the engine by rebinding these module globals
+    files = {"p": tmp_path / "p.json", "d": tmp_path / "d.json", "m": tmp_path / "m.json"}
+    files["p"].write_text(json.dumps(params_to_json(identity())))
+    files["d"].write_text(json.dumps(classified_to_json(ClassifiedDerivation(c1=ONE))))
+    files["m"].write_text(json.dumps(window_map_to_json(automorphism_window_map(identity(), 2))))
+    monkeypatch.setattr(cli, binding, _stub)
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out, err) == (1, "", "error: stub\n")
 
 
 def test_verify_exit_status_and_determinism(capsys):

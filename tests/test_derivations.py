@@ -25,6 +25,21 @@ RULE2 = ClassifiedDerivation(c2=ONE)
 RULE3 = ClassifiedDerivation(c3=ONE)
 
 
+def test_outer_step_of_the_tail_multiplies_no_m_term(monkeypatch):
+    # the automorphism tail passes c3 = 0, so M[n] -> 2*c3 M[n] needs no product
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+
+        def counted(self, other, original=getattr(Scalar, name), name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    x = Element([(M(k), k + 5) for k in range(-3, 4)])
+    assert derivations._apply_outer(Scalar(2), Scalar(3), ZERO, x, x) == x
+    assert calls == []
+
+
 def test_apply_classified_examples():
     assert apply_classified(RULE1, single(L(5))) == single(M(5))
     assert apply_classified(RULE3, single(M(2))) == single(M(2), 2)

@@ -7,6 +7,8 @@
 - every other module imports only from modules before it in ``LAYERS``, so the
   engine (``scalar`` to ``autgroup``) never reaches the reader of outside input;
 - at most ``MAX_PRIVATE_IMPORTS`` private names are imported across modules.
+
+Import checks read relative imports and absolute ones of ``svlie.<module>`` alike.
 """
 
 import ast
@@ -36,6 +38,28 @@ def _imported(tree: ast.Module) -> dict[str, int]:
             for alias in node.names:
                 out[alias.asname or alias.name.split(".")[0]] = node.lineno
     return out
+
+
+def _package_imports(tree: ast.Module):
+    """``(module, name)`` for each name imported from a package module, written
+    relatively or as ``svlie.<module>``.  ``name`` is None where a module itself is
+    imported (``import svlie.m``, ``from . import m``, ``from svlie import m``);
+    ``import svlie`` gives ``("svlie", None)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "svlie":
+                    yield rest.split(".")[0] or "svlie", None
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and (node.module or "").split(".")[0] == "svlie":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            for alias in node.names:
+                yield (module.split(".")[0], alias.name) if module else (alias.name, None)
 
 
 def _all(tree: ast.Module) -> list[str]:
@@ -78,11 +102,11 @@ def test_every_all_entry_is_defined(path):
 
 
 def test_the_package_imports_only_public_names():
-    stray = []
-    for node in _tree(PACKAGE / "__init__.py").body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            public = set(_all(_tree(PACKAGE / f"{node.module}.py")))
-            stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
+    stray = [
+        f"{module}.{name}"
+        for module, name in _package_imports(_tree(PACKAGE / "__init__.py"))
+        if name and name not in _all(_tree(PACKAGE / f"{module}.py"))
+    ]
     assert not stray, f"svlie/__init__.py imports names outside their module's __all__: {stray}"
 
 
@@ -93,11 +117,7 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("name", LAYERS)
 def test_each_module_imports_only_earlier_layers(name):
     earlier = set(LAYERS[: LAYERS.index(name)])
-    imported = {
-        node.module.split(".")[0]
-        for node in ast.walk(_tree(PACKAGE / f"{name}.py"))
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-    }
+    imported = {module for module, _ in _package_imports(_tree(PACKAGE / f"{name}.py"))}
     assert imported <= earlier, f"{name}.py imports from later layers {sorted(imported - earlier)}"
 
 
@@ -107,11 +127,9 @@ def test_few_private_names_cross_modules():
     ``_constraint_system`` from algebra; expr imports ``_MAX_TERMS`` from algebra and
     ``_scan_digits`` and ``_skip_ws`` from scalar."""
     crossing = sorted(
-        f"{path.stem} <- {node.module}.{alias.name}"
+        f"{path.stem} <- {module}.{name}"
         for path in MODULES
-        for node in ast.walk(_tree(path))
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-        if alias.name.startswith("_")
+        for module, name in _package_imports(_tree(path))
+        if name and name.startswith("_")
     )
     assert len(crossing) <= MAX_PRIVATE_IMPORTS, crossing

@@ -62,6 +62,22 @@ def test_division_by_zero():
         ZERO**-1
 
 
+@pytest.mark.parametrize(
+    "part", [0.1, "1/3", 1 + 0j, None, ONE], ids=["float", "str", "complex", "none", "scalar"]
+)
+def test_constructor_takes_only_ints_and_fractions(part):
+    # Fraction(0.1) and Fraction("1/3") would read these in silence
+    with pytest.raises(TypeError, match="Scalar parts must be int or Fraction"):
+        Scalar(part)
+    with pytest.raises(TypeError, match="Scalar parts must be int or Fraction"):
+        Scalar(1, part)
+
+
+def test_constructor_takes_bools_as_ints():
+    assert Scalar(True, False) == ONE
+    assert Scalar(Fraction(1, 2), True) == Scalar(Fraction(1, 2), 1)
+
+
 def test_mixed_arithmetic_with_ints_and_fractions():
     assert 2 * I == Scalar(0, 2)
     assert I + Fraction(1, 2) == Scalar(Fraction(1, 2), 1)
