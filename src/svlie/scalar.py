@@ -153,6 +153,11 @@ class Scalar:
         a, b, d = self._a, self._b, self._d
         if other.__class__ is Scalar:
             c, e, f = other._a, other._b, other._d
+            # a unit factor returns the other operand itself; scalars are immutable
+            if c == 1 and not e and f == 1:
+                return self
+            if a == 1 and not b and d == 1:
+                return other
         elif other.__class__ is int:
             # gcd(a*k, b*k, d) == gcd(k, d) because gcd(a, b, d) == 1
             g = gcd(other, d)

@@ -85,6 +85,18 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert (3 * ONE) / 2 == q(3, 2)
 
 
+def test_a_unit_factor_returns_the_other_operand():
+    x = Scalar(Fraction(-3, 4), 5)
+    for unit in (ONE, Scalar(1), Scalar(Fraction(2, 2))):
+        assert x * unit is x
+        assert unit * x is x
+    # a non-unit product is a new value in canonical form
+    y = x * Scalar(Fraction(2, 3), -1)
+    assert y is not x
+    assert y == Scalar(Fraction(9, 2), Fraction(49, 12))
+    assert (y._a, y._b, y._d) == (54, 49, 12)
+
+
 def test_field_axioms_randomized():
     rng = SplitMix64(11)
     for _ in range(200):
