@@ -21,10 +21,12 @@ missing or unknown field.  No engine module imports this one.
 
 from __future__ import annotations
 
+import re
+
 from .algebra import BasisVector, C, Element, Window, _MAX_TERMS, format_element
 from .autgroup import AutomorphismParams
 from .derivations import ClassifiedDerivation, WindowMap
-from .scalar import ParseError, Scalar, ZERO, _scan_digits, _skip_ws, format_scalar, parse_scalar
+from .scalar import ONE, ParseError, Scalar, ZERO, _digit_run, _skip_ws, format_scalar, parse_scalar
 from .scalar import scan_scalar, scan_simple_scalar
 
 __all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX", "params_to_json", "params_from_json",
@@ -34,34 +36,36 @@ __all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX", "params_to_json",
 # are unbounded; wildly large indices are always a typo.
 MAX_INDEX = 2**63 - 1
 
+# The coefficient of a basis term written without one after '-' (ONE otherwise).
+_MINUS_ONE = Scalar(-1)
 
-def _scan_index(text: str, pos: int) -> tuple[int, int]:
-    """The unsigned index at ``pos``, 1 to 19 ASCII digits within MAX_INDEX, and its end."""
-    end = _scan_digits(text, pos, len(str(MAX_INDEX)))
-    value = int(text[pos:end])
+
+# The text from a basis kind to its ']'.  Every piece may match empty, so
+# the start of the first piece that is missing or malformed is the offset of
+# the error, as a scan of one token at a time would report it.
+_basis = re.compile(r"\s*(\[?)\s*([+-]?)\s*([0-9]*)\s*(\]?)").match
+
+
+def _index(run: str, start: int) -> int:
+    """The value of the index digits ``run`` scanned at ``start``: 1 to 19 ASCII digits within MAX_INDEX."""
+    value = _digit_run(run, start, len(str(MAX_INDEX)))
     if value > MAX_INDEX:
-        raise ParseError(pos, f"index within +/-{MAX_INDEX}")
-    return value, end
+        raise ParseError(start, f"index within +/-{MAX_INDEX}")
+    return value
 
 
 def _scan_basis(text: str, pos: int) -> tuple[BasisVector, int]:
     kind = text[pos]
     if kind == "C":
         return C, pos + 1
-    pos = _skip_ws(text, pos + 1)
-    if pos >= len(text) or text[pos] != "[":
-        raise ParseError(pos, "'['")
-    pos = _skip_ws(text, pos + 1)
-    sign = 1
-    if pos < len(text) and text[pos] in "+-":
-        if text[pos] == "-":
-            sign = -1
-        pos = _skip_ws(text, pos + 1)
-    value, end = _scan_index(text, pos)
-    pos = _skip_ws(text, end)
-    if pos >= len(text) or text[pos] != "]":
-        raise ParseError(pos, "']'")
-    return BasisVector(kind, sign * value), pos + 1
+    m = _basis(text, pos + 1)
+    bracket, sign, run, close = m.groups()
+    if not bracket:
+        raise ParseError(m.start(1), "'['")
+    value = _index(run, m.start(3))
+    if not close:
+        raise ParseError(m.start(4), "']'")
+    return BasisVector(kind, -value if sign == "-" else value), m.end()
 
 
 def parse_basis_vector(text: str) -> BasisVector:
@@ -83,9 +87,8 @@ def parse_element(text: str) -> Element:
     loose = ZERO
     loose_offset = -1
     pos = _skip_ws(text, 0)
-    sign = 1
-    if pos < len(text) and text[pos] == "-":
-        sign = -1
+    negative = text.startswith("-", pos)
+    if negative:
         pos = _skip_ws(text, pos + 1)
     while True:
         term_start = pos
@@ -108,14 +111,14 @@ def parse_element(text: str) -> Element:
                 if pos >= len(text) or text[pos] not in "LYMC":
                     raise ParseError(pos, "basis vector (L, Y, M or C)")
                 bv, pos = _scan_basis(text, pos)
-                terms.append((bv, sign * coeff))
+                terms.append((bv, -coeff if negative else coeff))
             else:
-                loose = loose + sign * coeff
+                loose = loose - coeff if negative else loose + coeff
                 if loose_offset < 0:
                     loose_offset = term_start
         elif ch in "LYMC":
             bv, pos = _scan_basis(text, pos)
-            terms.append((bv, Scalar.coerce(sign)))
+            terms.append((bv, _MINUS_ONE if negative else ONE))
         else:
             raise ParseError(pos, "term (scalar or basis vector)")
         pos = _skip_ws(text, pos)
@@ -126,7 +129,7 @@ def parse_element(text: str) -> Element:
         parsed += 1
         if parsed == _MAX_TERMS:
             raise ParseError(pos, f"end of element (at most {_MAX_TERMS} terms)")
-        sign = -1 if text[pos] == "-" else 1
+        negative = text[pos] == "-"
         pos = _skip_ws(text, pos + 1)
     if loose:
         raise ParseError(
@@ -156,8 +159,10 @@ def _fields(data: dict, required: tuple[str, ...], defaults: dict) -> dict:
 def _parse_position(key: str) -> int:
     """A b/c position key: an optional '-' and an index, nothing else."""
     start = 1 if key.startswith("-") else 0
-    value, end = _scan_index(key, start)
-    if end != len(key):
+    rest = key[start:].lstrip("0123456789")
+    end = len(key) - len(rest)
+    value = _index(key[start:end], start)
+    if rest:
         raise ParseError(end, "end of position")
     return -value if start else value
 

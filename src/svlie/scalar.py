@@ -11,6 +11,7 @@ eliminates each one by its lowest nonzero column.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -260,16 +261,19 @@ I = Scalar(0, 1)
 
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: ``parse_scalar(format_scalar(x)) == x`` exactly."""
-    if x.is_zero():
-        return "0"
-    re, im = x.re, x.im
-    if not im:
-        return str(re)
-    imag = f"{abs(im)}i"
-    if not re:
-        return imag if im > 0 else f"-{imag}"
-    sign = "+" if im > 0 else "-"
-    return f"{re}{sign}{imag}"
+    a, b, d = x._a, x._b, x._d
+    if not b:
+        return _ratio_text(a, d)
+    imag = _ratio_text(abs(b), d) + "i"
+    if not a:
+        return imag if b > 0 else "-" + imag
+    return _ratio_text(a, d) + ("+" if b > 0 else "-") + imag
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``n/d`` in lowest terms, spelled as ``str(Fraction(n, d))`` spells it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -278,35 +282,38 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
+# An unsigned fraction: a numerator run and, after an optional '/', a
+# denominator run.  Either run may be empty here; _digit_run checks it.
+# Digits are ASCII [0-9] only (\d would take every Unicode decimal digit),
+# and on str \s accepts exactly the characters str.isspace() accepts.
+_fraction = re.compile(r"([0-9]*)(?:\s*/\s*([0-9]*))?").match
+
+
 # The longest numerator or denominator accepted, in decimal digits: int()
 # refuses longer strings under the interpreter's default conversion limit.
 _MAX_DIGITS = 4300
 
 
-def _scan_digits(text: str, pos: int, limit: int) -> int:
-    """End of the run of ASCII digits at ``pos``, which must hold 1 to ``limit``."""
-    start = pos
-    while pos < len(text) and text[pos] in "0123456789":
-        pos += 1
-    if pos == start:
+def _digit_run(run: str, start: int, limit: int = _MAX_DIGITS) -> int:
+    """The value of ``run``, the ASCII digits scanned at ``start``; it must hold 1 to ``limit``."""
+    if not run:
         raise ParseError(start, "digit")
-    if pos - start > limit:
+    if len(run) > limit:
         raise ParseError(start, f"at most {limit} digits")
-    return pos
+    return int(run)
 
 
-def _scan_unsigned_fraction(text: str, pos: int) -> tuple[Fraction, int]:
-    end = _scan_digits(text, pos, _MAX_DIGITS)
-    numerator = int(text[pos:end])
-    slash = _skip_ws(text, end)
-    if slash < len(text) and text[slash] == "/":
-        dstart = _skip_ws(text, slash + 1)
-        dpos = _scan_digits(text, dstart, _MAX_DIGITS)
-        denominator = int(text[dstart:dpos])
-        if denominator == 0:
-            raise ParseError(dstart, "nonzero denominator")
-        return Fraction(numerator, denominator), dpos
-    return Fraction(numerator), end
+def _scan_ratio(text: str, pos: int) -> tuple[int, int, int]:
+    """Numerator, denominator and end of the unsigned fraction ``p[/q]`` at ``pos``."""
+    m = _fraction(text, pos)
+    p = _digit_run(m[1], pos)
+    if m[2] is None:
+        return p, 1, m.end()
+    start = m.start(2)
+    q = _digit_run(m[2], start)
+    if not q:
+        raise ParseError(start, "nonzero denominator")
+    return p, q, m.end()
 
 
 def scan_scalar(text: str, pos: int = 0) -> tuple[Scalar, int]:
@@ -317,32 +324,32 @@ def scan_scalar(text: str, pos: int = 0) -> tuple[Scalar, int]:
     whitespace between atoms is ignored.
     """
     pos = _skip_ws(text, pos)
-    sign = 1
-    if pos < len(text) and text[pos] in "+-":
-        if text[pos] == "-":
-            sign = -1
+    sign = text[pos : pos + 1]
+    if sign == "-" or sign == "+":
         pos = _skip_ws(text, pos + 1)
-    first, pos = _scan_unsigned_fraction(text, pos)
+    p, q, pos = _scan_ratio(text, pos)
+    if sign == "-":
+        p = -p
     after = _skip_ws(text, pos)
-    if after < len(text) and text[after] == "i":
-        return Scalar(Fraction(0), sign * first), after + 1
-    if after < len(text) and text[after] in "+-":
-        sign2 = -1 if text[after] == "-" else 1
-        second, pos = _scan_unsigned_fraction(text, _skip_ws(text, after + 1))
+    op = text[after : after + 1]
+    if op == "i":
+        return _reduced(0, p, q), after + 1
+    if op == "+" or op == "-":
+        r, s, pos = _scan_ratio(text, _skip_ws(text, after + 1))
         pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "i":
+        if not text.startswith("i", pos):
             raise ParseError(pos, "'i'")
-        return Scalar(sign * first, sign2 * second), pos + 1
-    return Scalar(sign * first), pos
+        return _reduced(p * s, (r if op == "+" else -r) * q, q * s), pos + 1
+    return _reduced(p, 0, q), pos
 
 
 def scan_simple_scalar(text: str, pos: int) -> tuple[Scalar, int]:
     """Scan an unsigned one-piece scalar ``p[/q][i]`` (no inner signs)."""
-    value, pos = _scan_unsigned_fraction(text, pos)
+    p, q, pos = _scan_ratio(text, pos)
     after = _skip_ws(text, pos)
-    if after < len(text) and text[after] == "i":
-        return Scalar(Fraction(0), value), after + 1
-    return Scalar(value), pos
+    if text.startswith("i", after):
+        return _reduced(0, p, q), after + 1
+    return _reduced(p, 0, q), pos
 
 
 def parse_scalar(text: str) -> Scalar:

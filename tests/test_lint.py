@@ -125,7 +125,7 @@ def test_few_private_names_cross_modules():
     """The eight: autgroup imports ``_add_into`` from algebra and ``_apply_outer`` and
     ``_bracket_violations`` from derivations; derivations imports ``_add_into`` and
     ``_constraint_system`` from algebra; expr imports ``_MAX_TERMS`` from algebra and
-    ``_scan_digits`` and ``_skip_ws`` from scalar."""
+    ``_digit_run`` and ``_skip_ws`` from scalar."""
     crossing = sorted(
         f"{path.stem} <- {module}.{name}"
         for path in MODULES

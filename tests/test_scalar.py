@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -142,6 +144,16 @@ def test_parse_examples(text, value):
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_scalar(text)
+
+
+def test_scanner_whitespace_is_what_str_isspace_accepts():
+    # the scanners skip with str.isspace() and match \s in compiled patterns;
+    # on str the two accept the same code points
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(c for c in every if c.isspace())
+    assert "".join(re.findall(r"\s", every)) == spaces
+    text = f"{spaces}-3{spaces}/{spaces}4{spaces}+{spaces}1{spaces}/{spaces}2{spaces}i{spaces}"
+    assert parse_scalar(text) == Scalar(Fraction(-3, 4), Fraction(1, 2))
 
 
 def test_codec_roundtrip_randomized():

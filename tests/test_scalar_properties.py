@@ -140,6 +140,30 @@ def test_text_codec_roundtrip(x):
     assert parse_scalar(format_scalar(x)) == x
 
 
+def fraction_spelling(x):
+    """The canonical text of a Scalar, spelled from its parts as Fractions."""
+    re, im = x.re, x.im
+    if not im:
+        return str(re)
+    imag = f"{abs(im)}i"
+    if not re:
+        return imag if im > 0 else f"-{imag}"
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
+
+
+huge_ints = st.integers(-(10**300), 10**300)
+huge_scalars = st.builds(
+    Scalar,
+    st.builds(Fraction, huge_ints, st.integers(1, 10**300)),
+    st.builds(Fraction, huge_ints, st.integers(1, 10**300)) | st.just(Fraction(0)),
+)
+
+
+@given(scalars | huge_scalars | unit_scalars | st.sampled_from([ZERO, -ONE, Scalar(0, 1), Scalar(0, -1)]))
+def test_printer_spells_the_fraction_reference(x):
+    assert format_scalar(x) == fraction_spelling(x)
+
+
 @given(pairs)
 def test_repr_is_the_dataclass_repr(p):
     x = Scalar(*p)
