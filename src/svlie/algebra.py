@@ -203,8 +203,23 @@ class Element:
 ZERO_ELEMENT = Element()
 
 
-def single(bv: BasisVector, coeff=1) -> Element:
-    """The element ``coeff * bv``."""
+# One unit element per basis vector that ``single`` was asked for; it grows
+# only as the interned basis vectors do.
+_UNITS: dict[BasisVector, Element] = {}
+
+
+def single(bv: BasisVector, coeff=ONE) -> Element:
+    """The element ``coeff * bv``.
+
+    With the default coefficient ``ONE`` this is the one shared unit element
+    of ``bv``, built on first use; that is safe because no code writes into an
+    element's terms once it is built.  Any other coefficient builds a new element.
+    """
+    if coeff is ONE:
+        unit = _UNITS.get(bv)
+        if unit is None:
+            unit = _UNITS[bv] = Element._wrap({bv: ONE})
+        return unit
     coeff = Scalar.coerce(coeff)
     return Element._wrap({bv: coeff}) if coeff else ZERO_ELEMENT
 
@@ -288,7 +303,9 @@ def exp_ad(x: Element, target: Element) -> Element:
     """Apply exp(ad x) to ``target`` for x supported on Y and M terms.
 
     On that span ``(ad x)^3 = 0`` on the whole algebra, so the series is the
-    exact polynomial ``target + [x, t] + [x, [x, t]]/2``.
+    exact polynomial ``target + [x, t] + [x, [x, t]]/2``.  The second bracket
+    runs ``|x| * |[x, t]|`` basis brackets; above ``_MAX_TERMS**2`` it is
+    refused with a ValueError before any of them runs.
     """
     for bv in x._terms:
         if bv.kind not in ("Y", "M"):
@@ -296,15 +313,30 @@ def exp_ad(x: Element, target: Element) -> Element:
     first = bracket(x, target)
     if first.is_zero():
         return target
+    work = len(x._terms) * len(first._terms)
+    if work > _MAX_TERMS**2:
+        raise ValueError(
+            f"exp_ad too large: [x, [x, t]] needs {work} basis brackets, over the limit of {_MAX_TERMS**2}"
+        )
     acc = _add_into(dict(target._terms), first._terms.items())
     return Element._wrap(_bracket_into(acc, x, first, _HALF))
 
 
 def jacobi_residual(x: Element, y: Element, z: Element) -> Element:
-    """[[x,y],z] + [[y,z],x] + [[z,x],y]; zero whenever the table is a Lie bracket."""
-    acc = _bracket_into({}, bracket(x, y), z)
-    _bracket_into(acc, bracket(y, z), x)
-    return Element._wrap(_bracket_into(acc, bracket(z, x), y))
+    """[[x,y],z] + [[y,z],x] + [[z,x],y]; zero whenever the table is a Lie bracket.
+
+    Each double bracket is expanded by bilinearity into one term dict: every
+    basis bracket ``[a, b]`` of the inner pair is bracketed with the outer
+    operand at once, so no inner bracket is built as an element.
+    """
+    acc: dict[BasisVector, Scalar] = {}
+    for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+        for a, ca in p._terms.items():
+            for b, cb in q._terms.items():
+                inner = bracket_basis(a, b)
+                if inner._terms:
+                    _bracket_into(acc, inner, r, ca * cb)
+    return Element._wrap(acc)
 
 
 @dataclass(frozen=True)
@@ -318,16 +350,18 @@ class Window:
             raise ValueError("window radius must be at least 1")
 
     def vectors(self) -> tuple[BasisVector, ...]:
-        out = [
-            BasisVector(kind, n)
-            for kind in ("L", "Y", "M")
-            for n in range(-self.radius, self.radius + 1)
-        ]
-        out.append(C)
-        return tuple(out)
+        """L[-r..r], then Y[-r..r], M[-r..r] and C: one shared tuple per radius."""
+        return _window_vectors(self.radius)
 
     def contains(self, x: Element) -> bool:
         return all(abs(bv.index) <= self.radius for bv in x._terms)
+
+
+# typed: an equal float radius misses the int's entry and fails in range()
+@functools.lru_cache(maxsize=16, typed=True)
+def _window_vectors(radius: int) -> tuple[BasisVector, ...]:
+    span = range(-radius, radius + 1)
+    return (*(BasisVector(kind, n) for kind in ("L", "Y", "M") for n in span), C)
 
 
 def _normalized(e: Element) -> Element:

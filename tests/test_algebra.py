@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from svlie import algebra
+from svlie import algebra, autgroup
 from svlie.algebra import (
     BasisVector,
     C,
@@ -21,8 +21,9 @@ from svlie.algebra import (
     jacobi_residual,
     single,
 )
+from svlie.derivations import apply_classified
 from svlie.scalar import Scalar
-from svlie.verify import SplitMix64, random_element, random_scalar
+from svlie.verify import SplitMix64, random_classified, random_element, random_params, random_scalar
 
 
 def el(*pairs):
@@ -238,6 +239,28 @@ def test_bracket_basis_cache_stays_within_its_bound():
     assert bracket_basis.cache_info().currsize <= 65536
 
 
+@pytest.mark.parametrize("radius", [1, 2, 5])
+def test_window_vectors_are_one_ordered_tuple_per_radius(radius):
+    span = range(-radius, radius + 1)
+    expected = (*(L(n) for n in span), *(Y(n) for n in span), *(M(n) for n in span), C)
+    got = Window(radius).vectors()
+    assert got == expected
+    assert Window(radius).vectors() is got
+    assert algebra._window_vectors.cache_info().maxsize is not None
+
+
+def test_single_shares_one_unit_element_per_basis_vector():
+    for bv in (L(3), Y(-2), M(0), C):
+        unit = single(bv)
+        assert single(bv) is unit
+        assert unit._terms == {bv: Scalar(1)}
+        twice = single(bv, 2)
+        assert twice is not single(bv, 2)
+        assert twice._terms == {bv: Scalar(2)}
+        assert single(bv, 1) == unit
+        assert single(bv, 0) is ZERO_ELEMENT
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(0)
@@ -328,12 +351,90 @@ def test_jacobi_residual_matches_its_operator_chain_and_stays_zero_free(monkeypa
 
         monkeypatch.setattr(algebra, "bracket_basis", corrupted)
     rng = SplitMix64(227)
+    # [x, y] = 0, while its basis brackets [L[1], L[3]] = 2 L[4] and
+    # [L[3], L[1]] = -2 L[4] are not: the expansion brackets L[4] with z twice
+    cancelling = el((L(1), 1), (L(3), 1)), el((L(3), 1), (L(1), 1))
     nonzero = 0
     for _ in range(40):
         x, y, z = (random_element(rng, 3) for _ in range(3))
-        for args in ((x, y, z), (x, -x, z), (x, y, x + y)):
+        for args in ((x, y, z), (x, -x, z), (x, y, x + y), (*cancelling, z), (z, *cancelling)):
             got = jacobi_residual(*args)
             assert got == _chain_jacobi(*args)
             assert _zero_free(got)
             nonzero += not got.is_zero()
     assert (nonzero > 0) == corrupt
+
+
+def _budget_input(n):
+    x = Element([(Y(1000 * j + 1), 1) for j in range(n)])
+    t = Element([(L(k), 1) for k in range(n)])
+    return x, t
+
+
+@pytest.mark.parametrize("n, accepted", [(16, True), (128, False)])
+def test_exp_ad_refuses_a_second_bracket_over_the_work_budget(monkeypatch, n, accepted):
+    x, t = _budget_input(n)
+    first = bracket(x, t)  # also fills the cache, so each counted call is a hit
+    second_calls = len(x._terms) * len(first._terms)
+    if accepted:
+        expected = _chain_exp_ad(x, t)
+    calls = 0
+    table = bracket_basis
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return table(a, b)
+
+    monkeypatch.setattr(algebra, "bracket_basis", counted)
+    if accepted:
+        assert exp_ad(x, t) == expected
+        assert calls == n * n + second_calls
+        assert second_calls <= 256**2
+    else:
+        with pytest.raises(ValueError, match=f"needs {second_calls} basis brackets, over the limit of 65536"):
+            exp_ad(x, t)
+        assert calls == n * n
+
+
+def _writers(rng):
+    """Each public operation that takes elements, with the elements it reads."""
+    gens = Window(3).vectors()
+    unit = single(rng.choice(gens))
+    x, y = random_element(rng, 3), random_element(rng, 3) + unit
+    radical = single(rng.choice((Y(1), M(-2), Y(0)))) + _radical_element(rng, rng.randint(0, 2))
+    s = random_scalar(rng, nonzero=True)
+    p, q = random_params(rng), random_params(rng)
+    deriv = random_classified(rng, 3)
+    return [
+        ("bracket", lambda: bracket(unit, x), (unit, x)),
+        ("bracket", lambda: bracket(y, unit), (y, unit)),
+        ("exp_ad", lambda: exp_ad(radical, unit), (radical, unit)),
+        ("exp_ad", lambda: exp_ad(single(Y(1)), y), (y,)),
+        ("jacobi_residual", lambda: jacobi_residual(unit, x, y), (unit, x, y)),
+        ("+", lambda: unit + x, (unit, x)),
+        ("+", lambda: y + unit, (y, unit)),
+        ("-", lambda: unit - y, (unit, y)),
+        ("unary -", lambda: -unit, (unit,)),
+        ("*", lambda: unit * s, (unit,)),
+        ("*", lambda: s * y, (y,)),
+        ("apply", lambda: autgroup.apply(p, unit), (unit,)),
+        ("action", lambda: autgroup.action(q)(y), (y,)),
+        ("compose", lambda: autgroup.compose(p, q), ()),
+        ("invert", lambda: autgroup.invert(p), ()),
+        ("apply_classified", lambda: apply_classified(deriv, unit), (unit, deriv.inner)),
+    ]
+
+
+def test_no_operation_writes_into_an_element_it_reads():
+    # shared unit elements from single() are safe only while no operation
+    # writes into the terms of an element it was given or handed back
+    rng = SplitMix64(229)
+    for _ in range(30):
+        for name, run, args in _writers(rng):
+            watched = [*args, *algebra._UNITS.values()]
+            before = [dict(e._terms) for e in watched]
+            out = run()
+            assert [dict(e._terms) for e in watched] == before, name
+            if isinstance(out, Element):
+                assert _zero_free(out), name

@@ -398,6 +398,16 @@ def test_element_of_256_terms_is_accepted(capsys):
     assert out.count("L[") == 255
 
 
+def test_exp_ad_over_its_work_budget_exits_1(capsys):
+    # [x, t] has 128 * 128 - 1 terms, so [x, [x, t]] would need 2,097,024 basis brackets
+    x = " + ".join(f"Y[{1000 * j + 1}]" for j in range(128))
+    t = " + ".join(f"L[{k}]" for k in range(128))
+    code, out, err = run(capsys, "exp-ad", "--", x, t)
+    assert code == 1
+    assert out == ""
+    assert err == "error: exp_ad too large: [x, [x, t]] needs 2097024 basis brackets, over the limit of 65536\n"
+
+
 def test_element_field_over_256_terms_exits_2(tmp_path, capsys):
     d_file = tmp_path / "d.json"
     d_file.write_text(json.dumps({"c1": "0", "c2": "0", "c3": "0", "inner": _sum_of_terms(257)}))
