@@ -303,13 +303,19 @@ def exp_ad(x: Element, target: Element) -> Element:
     """Apply exp(ad x) to ``target`` for x supported on Y and M terms.
 
     On that span ``(ad x)^3 = 0`` on the whole algebra, so the series is the
-    exact polynomial ``target + [x, t] + [x, [x, t]]/2``.  The second bracket
-    runs ``|x| * |[x, t]|`` basis brackets; above ``_MAX_TERMS**2`` it is
-    refused with a ValueError before any of them runs.
+    exact polynomial ``target + [x, t] + [x, [x, t]]/2``.  The first bracket
+    runs ``|x| * |t|`` basis brackets and the second ``|x| * |[x, t]|``; a
+    bracket over ``_MAX_TERMS**2`` is refused with a ValueError before any of
+    its basis brackets runs.
     """
     for bv in x._terms:
         if bv.kind not in ("Y", "M"):
             raise ValueError(f"ad not nilpotent / not in inner radical: {bv}")
+    work = len(x._terms) * len(target._terms)
+    if work > _MAX_TERMS**2:
+        raise ValueError(
+            f"exp_ad too large: [x, t] needs {work} basis brackets, over the limit of {_MAX_TERMS**2}"
+        )
     first = bracket(x, target)
     if first.is_zero():
         return target

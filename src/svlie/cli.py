@@ -82,7 +82,7 @@ def _cmd_verify(args) -> int:
 
 
 # Ceilings for verify; jacobi is cubic in the window size.  --suite all takes
-# about 13 s at radius 16, 17 s at 1000 cases and 77 s at both (one core).
+# about 6 s at radius 16, 10 s at 1000 cases and 33 s at both (one core).
 _MAX_RADIUS = 16
 _MAX_CASES = 1000
 

@@ -397,6 +397,28 @@ def test_exp_ad_refuses_a_second_bracket_over_the_work_budget(monkeypatch, n, ac
         assert calls == n * n
 
 
+def test_exp_ad_refuses_a_first_bracket_over_the_work_budget(monkeypatch):
+    # [M, M] = 0, so the first bracket would vanish, but 257 * 256 basis
+    # brackets are over the budget and none of them runs
+    x = Element([(M(j), 1) for j in range(257)])
+    t = Element([(M(k), 1) for k in range(256)])
+    calls = 0
+    table = bracket_basis
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return table(a, b)
+
+    monkeypatch.setattr(algebra, "bracket_basis", counted)
+    with pytest.raises(ValueError, match=r"exp_ad too large: \[x, t\] needs 65792 basis brackets, over the limit of 65536"):
+        exp_ad(x, t)
+    assert calls == 0
+    # at the budget itself the first bracket runs
+    assert exp_ad(Element([(M(j), 1) for j in range(256)]), t) == t
+    assert calls == 256 * 256
+
+
 def _writers(rng):
     """Each public operation that takes elements, with the elements it reads."""
     gens = Window(3).vectors()

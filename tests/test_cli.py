@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from svlie import cli
+from svlie import algebra, cli
 
 from svlie.algebra import bracket
 from svlie.autgroup import (
@@ -406,6 +406,28 @@ def test_exp_ad_over_its_work_budget_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: exp_ad too large: [x, [x, t]] needs 2097024 basis brackets, over the limit of 65536\n"
+
+
+def test_apply_aut_over_the_first_bracket_budget_exits_1_before_any_bracket(tmp_path, capsys, monkeypatch):
+    # the inner exponent holds b and c, 512 terms, and the element 256, so
+    # [x, t] would need 131,072 basis brackets
+    data = params_to_json(identity())
+    data["b"] = data["c"] = {str(k): "1/2" for k in range(1, 257)}
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(data))
+    calls = 0
+    table = algebra.bracket_basis
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return table(a, b)
+
+    monkeypatch.setattr(algebra, "bracket_basis", counted)
+    code, out, err = run(capsys, "apply-aut", "--params", str(p_file), _sum_of_terms(256))
+    assert (code, out) == (1, "")
+    assert err == "error: exp_ad too large: [x, t] needs 131072 basis brackets, over the limit of 65536\n"
+    assert calls == 0
 
 
 def test_element_field_over_256_terms_exits_2(tmp_path, capsys):

@@ -136,7 +136,22 @@ def _one_sided_corruption(a, b, table):
     return table(a, b)
 
 
-@pytest.mark.parametrize("corruption", [_antisymmetric_corruption, _one_sided_corruption])
+def _diagonal_corruption(a, b, table):
+    if (a, b) == (Y(1), Y(1)):
+        return single(M(2))
+    return table(a, b)
+
+
+def _symmetric_corruption(a, b, table):
+    if (a, b) in ((Y(1), M(1)), (M(1), Y(1))):
+        return single(M(2))
+    return table(a, b)
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [_antisymmetric_corruption, _one_sided_corruption, _diagonal_corruption, _symmetric_corruption],
+)
 @pytest.mark.parametrize("radius", [1, 2, 3])
 def test_jacobi_report_on_a_corrupted_table_matches_the_brute_force_loop(
     monkeypatch, corruption, radius
@@ -150,7 +165,34 @@ def test_jacobi_report_on_a_corrupted_table_matches_the_brute_force_loop(
         assert expected["violations"] > 0
 
 
-def test_jacobi_evaluates_one_residual_per_rotation_class(monkeypatch):
+def test_jacobi_report_matches_the_brute_force_loop_on_random_single_pair_corruptions(monkeypatch):
+    rng = SplitMix64(20)
+    gens = Window(2).vectors()
+    table = algebra.bracket_basis
+    failed = 0
+    for case in range(10):
+        a, b = rng.choice(gens), rng.choice(gens)
+        value = single(rng.choice(Window(3).vectors()), rng.randint(1, 3))
+        for mirrored in (False, True):
+
+            def corrupted(x, y, a=a, b=b, value=value, mirrored=mirrored):
+                if (x, y) == (a, b):
+                    return value
+                if mirrored and (x, y) == (b, a):
+                    return -value
+                return table(x, y)
+
+            monkeypatch.setattr(algebra, "bracket_basis", corrupted)
+            [check] = run_suite("jacobi", 2)["checks"]
+            expected = _brute_force_jacobi(2)
+            got = {key: check[key] for key in expected}
+            assert got == expected, f"case {case}: [{a}, {b}] = {value}, mirrored={mirrored}"
+            failed += expected["violations"] > 0
+    # most of the drawn corruptions break the Jacobi identity somewhere
+    assert failed >= 10
+
+
+def test_jacobi_evaluates_one_residual_per_set_of_three_generators(monkeypatch):
     calls = []
 
     def counted(x, y, z):
@@ -160,9 +202,17 @@ def test_jacobi_evaluates_one_residual_per_rotation_class(monkeypatch):
     monkeypatch.setattr(verify, "jacobi_residual", counted)
     [check] = run_suite("jacobi", 2)["checks"]
     n = len(Window(2).vectors())
-    # n**3 ordered triples fall into n one-element classes and (n**3 - n) / 3 of three
+    # on an antisymmetric table a repeated generator needs no residual, and
+    # one residual decides the six orderings of three distinct generators
     assert check["cases"] == n**3
-    assert len(calls) == (n**3 + 2 * n) // 3
+    assert len(calls) == n * (n - 1) * (n - 2) // 6 == 560
+
+    # pairs that are not antisymmetric fall back to one residual per rotation class
+    calls.clear()
+    table = algebra.bracket_basis
+    monkeypatch.setattr(algebra, "bracket_basis", lambda a, b: _one_sided_corruption(a, b, table))
+    run_suite("jacobi", 2)
+    assert len(calls) > 560
 
 
 # One injected defect per suite check: each failure must reach the report and
