@@ -81,8 +81,7 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-# Ceilings for verify; jacobi is cubic in the window size.  --suite all takes
-# about 6 s at radius 16, 10 s at 1000 cases and 33 s at both (one core).
+# Ceilings for verify, which bound a run's time: jacobi is cubic in the window size.
 _MAX_RADIUS = 16
 _MAX_CASES = 1000
 

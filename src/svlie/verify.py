@@ -54,17 +54,9 @@ from .scalar import ONE, Scalar, ZERO, format_scalar
 
 __all__ = ["SUITES", "SplitMix64", "run_suite", "render_text"]
 
-SUITES = (
-    "jacobi",
-    "center",
-    "derivations",
-    "hom-vanishing",
-    "group-law",
-    "lemma36-verdict",
-    "all",
-)
-
 _MAX_WITNESSES = 3
+# the smallest window on which factorize and decompose accept a map
+_MAP_RADIUS = 3
 # the positions a random b or c draws from
 _SEQ_POSITIONS = (-3, -2, -1, 1, 2, 3)
 
@@ -166,7 +158,7 @@ def _check(name: str, cases: int, witnesses: list[str]) -> dict:
     }
 
 
-def _jacobi_checks(radius: int) -> list[dict]:
+def _jacobi_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None]:
     """Check every ordered triple, evaluating one residual per set of three generators.
 
     Antisymmetry is checked first, on every window pair ``i <= j``, the
@@ -197,20 +189,21 @@ def _jacobi_checks(radius: int) -> list[dict]:
                     if not jacobi_residual(elems[i], elems[j], elems[k]).is_zero():
                         failing.update(((i, j, k), (j, k, i), (k, i, j)))
     witnesses = [f"({elems[i]}, {elems[j]}, {elems[k]})" for i, j, k in sorted(failing)]
-    return [_check("jacobi-residual", n**3, witnesses)]
+    return [_check("jacobi-residual", n**3, witnesses)], None
 
 
-def _center_checks(radius: int) -> list[dict]:
+def _center_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None]:
     found = centralizer_window(Window(radius))
     expected = [single(M(0)), single(C)]
     witnesses = []
     if found != expected:
         witnesses.append("basis: " + ", ".join(format_element(e) for e in found))
-    return [_check("centralizer-basis", 1, witnesses)]
+    return [_check("centralizer-basis", 1, witnesses)], None
 
 
-def _derivation_checks(radius: int, seed: int, cases: int) -> list[dict]:
+def _derivation_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None]:
     checks = []
+    wradius = max(_MAP_RADIUS, radius)
     unit_rules = [
         ("rule-l-to-m", ClassifiedDerivation(c1=ONE)),
         ("rule-l-to-nm", ClassifiedDerivation(c2=ONE)),
@@ -222,7 +215,7 @@ def _derivation_checks(radius: int, seed: int, cases: int) -> list[dict]:
             _check(f"leibniz-{name}", 1, [f"({x}, {y})" for x, y, _ in bad])
         )
     witnesses = []
-    kernel = outer_independence_kernel(Window(max(3, radius)))
+    kernel = outer_independence_kernel(Window(wradius))
     for c1, c2, c3, z in kernel:
         central = all(bv in (M(0), C) for bv in z.support())
         if c1 or c2 or c3 or not central:
@@ -233,7 +226,6 @@ def _derivation_checks(radius: int, seed: int, cases: int) -> list[dict]:
     checks.append(_check("outer-independence", len(kernel), witnesses))
 
     rng = SplitMix64(seed)
-    wradius = max(3, radius)
     witnesses = []
     for case in range(cases):
         deriv = random_classified(rng, wradius)
@@ -268,13 +260,13 @@ def _derivation_checks(radius: int, seed: int, cases: int) -> list[dict]:
         except DerivationError:
             pass
     checks.append(_check("classify-rejects-y-family", rejected_cases, witnesses))
-    return checks
+    return checks, None
 
 
-def _hom_checks(radius: int) -> list[dict]:
+def _hom_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None]:
     nullity = equivariant_hom_nullity(Window(radius))
     witnesses = [] if nullity == 0 else [f"nullity={nullity}"]
-    return [_check("hom-vanishing", 1, witnesses)]
+    return [_check("hom-vanishing", 1, witnesses)], None
 
 
 def _ideal_violations(params: AutomorphismParams, radius: int) -> list[str]:
@@ -289,7 +281,7 @@ def _ideal_violations(params: AutomorphismParams, radius: int) -> list[str]:
     return out
 
 
-def _group_law_checks(radius: int, seed: int, cases: int) -> list[dict]:
+def _group_law_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None]:
     checks = []
     rng = SplitMix64(seed)
     gens = Window(radius).vectors()
@@ -324,7 +316,7 @@ def _group_law_checks(radius: int, seed: int, cases: int) -> list[dict]:
     witnesses = []
     for case in range(half):
         p = random_params(rng)
-        if factorize(automorphism_window_map(p, max(3, radius))) != p:
+        if factorize(automorphism_window_map(p, max(_MAP_RADIUS, radius))) != p:
             witnesses.append(f"case {case}")
     checks.append(_check("factorize-apply-identity", half, witnesses))
 
@@ -337,7 +329,7 @@ def _group_law_checks(radius: int, seed: int, cases: int) -> list[dict]:
             witnesses.append(f"case {case}: {msg}")
             break
     checks.append(_check("central-character-and-ideals", cases, witnesses))
-    return checks
+    return checks, None
 
 
 def _seq_text(seq: Mapping[int, Scalar]) -> str:
@@ -469,7 +461,7 @@ def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], lis
     oracle_witnesses = []
     results: list[tuple] = []
     for p, q in pairs:
-        oracle = compose_oracle(p, q, max(3, radius))
+        oracle = compose_oracle(p, q, radius)
         if compose(p, q) != oracle:
             oracle_witnesses.append(f"p={params_to_json(p)} q={params_to_json(q)}")
         results.append((p, q, _candidate_components(p, q), oracle))
@@ -486,7 +478,7 @@ def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], lis
 
     def shear_trials():
         for p, q in shear_pairs:
-            oracle = compose_oracle(p, q, max(3, radius))
+            oracle = compose_oracle(p, q, radius)
             predicted = (
                 p.alpha + q.alpha,
                 p.beta + q.beta,
@@ -500,6 +492,20 @@ def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], lis
     return checks, relations
 
 
+# suite -> (smallest radius, runner (radius, seed, cases) -> (checks, relations or
+# None)), in the order ``all`` runs them; runners call the engine through this
+# module's globals, which tests and the bench tracer rebind.
+_SUITES = {
+    "jacobi": (1, _jacobi_checks),
+    "center": (1, _center_checks),
+    "derivations": (1, _derivation_checks),
+    "hom-vanishing": (2, _hom_checks),
+    "group-law": (1, _group_law_checks),
+    "lemma36-verdict": (_MAP_RADIUS, _lemma36_checks),
+}
+SUITES = (*_SUITES, "all")
+
+
 def run_suite(suite: str, radius: int = 4, seed: int = 0, cases: int = 100) -> dict:
     """Run one named suite; deterministic given (suite, radius, seed, cases)."""
     if suite not in SUITES:
@@ -510,19 +516,12 @@ def run_suite(suite: str, radius: int = 4, seed: int = 0, cases: int = 100) -> d
         raise ValueError("cases must be at least 1")
     checks: list[dict] = []
     relations: list[dict] | None = None
-    if suite in ("jacobi", "all"):
-        checks += _jacobi_checks(radius)
-    if suite in ("center", "all"):
-        checks += _center_checks(radius)
-    if suite in ("derivations", "all"):
-        checks += _derivation_checks(radius, seed, cases)
-    if suite in ("hom-vanishing", "all"):
-        checks += _hom_checks(max(2, radius))
-    if suite in ("group-law", "all"):
-        checks += _group_law_checks(radius, seed, cases)
-    if suite in ("lemma36-verdict", "all"):
-        verdict_checks, relations = _lemma36_checks(radius, seed, cases)
-        checks += verdict_checks
+    for name, (floor, runner) in _SUITES.items():
+        if suite in (name, "all"):
+            found, verdicts = runner(max(floor, radius), seed, cases)
+            checks += found
+            if verdicts is not None:
+                relations = verdicts
     report = {
         "suite": suite,
         "radius": radius,

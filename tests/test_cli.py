@@ -503,6 +503,54 @@ def test_each_command_calls_the_engine_through_its_cli_binding(
     assert (code, out, err) == (1, "", "error: stub\n")
 
 
+_TOP_HELP = """\
+usage: svlie [-h]
+             {bracket,apply-aut,apply-der,compose,invert,factorize,exp-ad,verify}
+             ...
+
+Exact computations in the twisted Schrodinger-Virasoro Lie algebra: brackets,
+derivations, automorphisms, and verification suites.
+
+positional arguments:
+  {bracket,apply-aut,apply-der,compose,invert,factorize,exp-ad,verify}
+    bracket             bracket of two elements
+    apply-aut           apply an automorphism
+    apply-der           apply a classified derivation
+    compose             compose two automorphisms (left acts last)
+    invert              invert an automorphism
+    factorize           factor a window map into canonical parameters
+    exp-ad              apply exp(ad x) for x in the Y/M span
+    verify              run a verification suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+_VERIFY_HELP = """\
+usage: svlie verify [-h] [--format {text,json}]
+                    [--suite {jacobi,center,derivations,hom-vanishing,group-law,lemma36-verdict,all}]
+                    [--radius RADIUS] [--seed SEED] [--cases CASES]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --suite {jacobi,center,derivations,hom-vanishing,group-law,lemma36-verdict,all}
+  --radius RADIUS
+  --seed SEED
+  --cases CASES
+"""
+
+
+@pytest.mark.parametrize("argv, text", [(["--help"], _TOP_HELP), (["verify", "--help"], _VERIFY_HELP)])
+def test_help_text_is_pinned(monkeypatch, capsys, argv, text):
+    # argparse wraps to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text
+
+
 def test_verify_exit_status_and_determinism(capsys):
     code, out1, _ = run(
         capsys, "verify", "--suite", "center", "--radius", "3", "--format", "json"

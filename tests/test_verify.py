@@ -98,7 +98,7 @@ def test_render_text_mentions_verdicts():
 
 
 def test_all_suites_named():
-    assert set(SUITES) == {
+    assert SUITES == (
         "jacobi",
         "center",
         "derivations",
@@ -106,7 +106,50 @@ def test_all_suites_named():
         "group-law",
         "lemma36-verdict",
         "all",
-    }
+    )
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_all_runs_each_suite_in_table_order(radius):
+    everything = run_suite("all", radius, 7, 3)
+    parts = {suite: run_suite(suite, radius, 7, 3) for suite in SUITES[:-1]}
+    assert everything["checks"] == [check for part in parts.values() for check in part["checks"]]
+    assert [suite for suite, part in parts.items() if "relations" in part] == ["lemma36-verdict"]
+    assert everything["relations"] == parts["lemma36-verdict"]["relations"]
+
+
+# sha256 of each report at radii 1 to 3, below and at the suites' smallest radii
+# (hom-vanishing runs at 2 or more, lemma36-verdict at 3 or more), seed 7, 3 cases
+SMALL_RADIUS_REPORT_SHA256 = {
+    ("jacobi", 1): "87fabd91997d699f8b78fc1d1465f201ff5cd219621f75d2be599c084a8e35f7",
+    ("jacobi", 2): "c9315a1b3fc44f1aefbcdf27ca4eef1679b3a5604b2c4745d81e6b49003b6f99",
+    ("jacobi", 3): "8f422bde6674496340372c107872cf9e76545392216fec5675d04ae491a7ecde",
+    ("center", 1): "bab83dee5419d5fef82a0df220037abb1790a713c7102d84b36f102812e628bc",
+    ("center", 2): "93b6b9b8ddf9f8f624ea9fab6ce2666b52262a18c2233767cc301fbeac4d8f3f",
+    ("center", 3): "ac3823fbbaabc4b003d9619f488287724b04a0a114d2eb3ac7d1a192e649e616",
+    ("derivations", 1): "48acaa457c1feb930c5c91b2a9be3ff9757d855a59b9d3a4345f4a98294562ae",
+    ("derivations", 2): "14e45a62dd70042955aab419d001e22081e4f29f9dc73a27be7daccaf01dc54b",
+    ("derivations", 3): "16c4e714231857f6e51e6e143da04be9933b1fe3ce535293e8880906bc992f22",
+    ("hom-vanishing", 1): "cf78bfa9bd70f485001d4211144f9f8176d15ae8f9f4ab4ad3ae521ad6b84873",
+    ("hom-vanishing", 2): "5e18efa834ff0734471a361770677f1b7b9badc98ef9c0bedd8716937f47cb5d",
+    ("hom-vanishing", 3): "7d0d91d858be5c9c69d30c939352b46232932fd5247028e5ff5a1402e3a088e6",
+    ("group-law", 1): "c6ca98bf17324df6e01dc4db9516b6a00b99b670a000ae85110b157cf3d0cbcf",
+    ("group-law", 2): "ed6ba2ac267c28abc7dd4a81a11b62f0bfcf82137bd949890b3685531bbacc54",
+    ("group-law", 3): "1ba4961e579c297273e092645f8ac6a586a337585a9ff86b48dd07bbf04b77fb",
+    ("lemma36-verdict", 1): "f1c5751b1ded24866e1d92c805d8091995d00a1e79ace819095c76c3dcb3c7b9",
+    ("lemma36-verdict", 2): "b8029350fa165577000d960ab6a2e2aa07065ad7e91eb5171a698291eac36e85",
+    ("lemma36-verdict", 3): "7d6ce1f27524634b9341d449200b830ee1324d96c700ad720fea541a7637abee",
+    ("all", 1): "f422866b4d2d6ea4d14aa15cbbf51f8d38099082c48d8ccadf02a48fb44b2546",
+    ("all", 2): "9fbf9402da7957137b159193a50a94f198c74f4fc7073c3a5cde101deeb3112d",
+    ("all", 3): "4119977234058b817f91ddd8262f5d2b5376eb9cd47c9083a4722bcc6f0ba9de",
+}
+
+
+@pytest.mark.parametrize("suite, radius", sorted(SMALL_RADIUS_REPORT_SHA256))
+def test_reports_at_small_radii_match_their_pinned_hash(suite, radius):
+    report = run_suite(suite, radius, 7, 3)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_RADIUS_REPORT_SHA256[suite, radius]
 
 
 def _brute_force_jacobi(radius):
