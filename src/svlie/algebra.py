@@ -376,20 +376,29 @@ def _normalized(e: Element) -> Element:
 
 
 def _constraint_system(cols, constraints) -> LinearSystem:
-    """Columns keyed by ``cols``, in order; each ``(test, col, image)`` adds
-    every term ``(v, cf)`` of ``image`` at row ``(test, v)``, column ``col``."""
+    """Columns keyed by ``cols``, in order; each ``(test, col, terms)`` adds
+    every pair ``(v, cf)`` of the iterable ``terms`` at row ``(test, v)``,
+    column ``col``."""
     index = {col: i for i, col in enumerate(cols)}
     system = LinearSystem(len(index))
-    for test, col, image in constraints:
+    add = system.add
+    for test, col, terms in constraints:
         i = index[col]
-        for v, cf in image._terms.items():
-            system.add((test, v), i, cf)
+        for v, cf in terms:
+            add((test, v), i, cf)
     return system
 
 
 def centralizer_window(window: Window) -> list[Element]:
     """Exact basis of the in-window vectors commuting with every in-window generator."""
     gens = window.vectors()
-    system = _constraint_system(gens, ((g, bv, bracket_basis(bv, g)) for bv in gens for g in gens))
+    # a zero bracket adds no entry, so the pair yields no constraint
+    constraints = (
+        (g, bv, terms.items())
+        for bv in gens
+        for g in gens
+        if (terms := bracket_basis(bv, g)._terms)
+    )
+    system = _constraint_system(gens, constraints)
     basis = [_normalized(Element(zip(gens, vec))) for vec in nullspace(system)]
     return sorted(basis, key=lambda e: e.terms()[0][0].sort_key())

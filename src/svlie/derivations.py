@@ -248,9 +248,9 @@ def outer_independence_kernel(
     def constraints():
         for g in gens:
             for unit in units:
-                yield g, unit, single(*_outer_term(*unit, g))
+                yield g, unit, (_outer_term(*unit, g),)
             for z in gens:
-                yield g, z, -bracket_basis(z, g)
+                yield g, z, (-bracket_basis(z, g))._terms.items()
 
     kernel = nullspace(_constraint_system((*units, *gens), constraints()))
     return [(vec[0], vec[1], vec[2], Element(zip(gens, vec[3:]))) for vec in kernel]
@@ -279,12 +279,12 @@ def equivariant_hom_nullity(window: Window) -> int:
                     continue
                 test, lm, yn, ymn = (m, n), L(m), Y(n), Y(m + n)
                 for lk in ls:
-                    yield test, (yn, lk), bracket_basis(lm, lk)
+                    yield test, (yn, lk), bracket_basis(lm, lk)._terms.items()
                 action = bracket_basis(lm, yn).coeff(ymn)
                 if action:
                     neg = -action
                     for t in targets:
-                        yield test, (ymn, t), single(t, neg)
+                        yield test, (ymn, t), ((t, neg),)
 
     cols = [(Y(n), t) for n in span for t in targets]
     return len(nullspace(_constraint_system(cols, constraints())))

@@ -385,10 +385,14 @@ class LinearSystem:
         """Add ``cf`` to the entry at ``(row_key, col)``; entries that cancel are dropped."""
         if not 0 <= col < self.cols:
             raise IndexError(f"column {col} outside 0..{self.cols - 1}")
-        cf = Scalar.coerce(cf)
+        if cf.__class__ is not Scalar:
+            cf = Scalar.coerce(cf)
         if not cf:
             return
-        row = self._rows.setdefault(row_key, {})
+        row = self._rows.get(row_key)
+        if row is None:
+            self._rows[row_key] = {col: cf}
+            return
         prev = row.get(col)
         total = cf if prev is None else prev + cf
         if total:
@@ -421,6 +425,10 @@ def nullspace(system: LinearSystem) -> list[list[Scalar]]:
     for stored in system._rows.values():
         if len(pivots) == cols:
             break
+        if len(stored) == 1:
+            (lead,) = stored
+            if lead in pivots and not pivots[lead]:
+                continue  # one entry on a column whose pivot row is empty reduces to zero
         row = dict(stored)
         while row:
             lead = min(row)

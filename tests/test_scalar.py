@@ -273,3 +273,101 @@ def test_linear_system_validation():
         system.add("r", -1, ONE)
     with pytest.raises(TypeError):
         system.add("r", 0, 0.5)
+
+
+@pytest.mark.parametrize("value, expected", [(3, q(3)), (Fraction(-1, 2), q(-1, 2)), (True, ONE)])
+def test_add_coerces_ints_fractions_and_bools(value, expected):
+    system = LinearSystem(2)
+    system.add("r", 1, value)
+    system.add("s", 0, ONE)
+    system.add("s", 0, value)
+    rows = dict(system.items())
+    assert rows == {"r": {1: expected}, "s": {0: ONE + expected}}
+    assert all(cf.__class__ is Scalar for row in rows.values() for cf in row.values())
+
+
+@pytest.mark.parametrize(
+    "col, value, error", [(0, 0.5, TypeError), (2, ONE, IndexError), (-1, 1, IndexError)]
+)
+def test_a_refused_add_leaves_no_row_behind(col, value, error):
+    system = LinearSystem(2)
+    with pytest.raises(error):
+        system.add("r", col, value)
+    assert system.rows == 0
+    system.add("s", 1, I)
+    with pytest.raises(error):
+        system.add("s", col, value)
+    assert dict(system.items()) == {"s": {1: I}}
+
+
+def test_adding_zero_to_a_new_key_creates_no_row():
+    system = LinearSystem(2)
+    for zero in (ZERO, 0, Fraction(0), False):
+        system.add("r", 1, zero)
+    assert system.rows == 0
+    assert dict(system.items()) == {}
+
+
+def dense_nullspace(rows, cols):
+    """Gauss-Jordan on dense rows of scalars: one kernel vector per free column,
+    with 1 there and 0 on the other free columns."""
+    work = [[Scalar.coerce(v) for v in row] for row in rows]
+    pivot_cols = []
+    for c in range(cols):
+        r = len(pivot_cols)
+        found = next((k for k in range(r, len(work)) if work[k][c]), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        inv = work[r][c].inverse()
+        work[r] = [v * inv for v in work[r]]
+        for k in range(len(work)):
+            if k != r and work[k][c]:
+                f = work[k][c]
+                work[k] = [v - f * p for v, p in zip(work[k], work[r])]
+        pivot_cols.append(c)
+    basis = []
+    for free in range(cols):
+        if free in pivot_cols:
+            continue
+        vec = [ZERO] * cols
+        vec[free] = ONE
+        for r, pc in enumerate(pivot_cols):
+            vec[pc] = -work[r][free]
+        basis.append(vec)
+    return basis
+
+
+def test_single_entry_rows_give_the_same_kernel_in_any_order():
+    # single-entry rows on columns 0, 2 and 4, scaled and repeated, so that in
+    # most orders some arrive before their column has a pivot row and some
+    # after it; column 2 also leads a multi-entry row, and column 4 also sits
+    # right of a pivot in one
+    singles = [
+        [0, 0, 3, 0, 0, 0],
+        [0, 0, q(1, 2) * I, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0],
+        [q(-2, 3), 0, 0, 0, 0, 0],
+        [5, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, I, 0],
+        [0, 0, 0, 0, 7, 0],
+    ]
+    multis = [
+        [0, 1, 0, 2, 1, 0],
+        [0, 0, 1, -1, 0, 1],
+        [0, 2, 1, 3, 2, 1],
+        [0, 0, 2, 0, 1, 0],
+    ]
+    rows = singles + multis
+    expected = dense_nullspace(rows, 6)
+    assert len(expected) == 1
+    orders = [rows, rows[::-1], multis + singles, singles[::2] + multis + singles[1::2]]
+    rng = SplitMix64(22)
+    for _ in range(30):
+        order = list(rows)
+        for i in range(len(order) - 1, 0, -1):
+            j = rng.randint(0, i)
+            order[i], order[j] = order[j], order[i]
+        orders.append(order)
+    for order in orders:
+        assert nullspace(system_of(order, 6)) == expected
