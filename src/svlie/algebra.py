@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import LinearSystem, ONE, Scalar, ZERO, format_scalar, nullspace
+from .scalar import LinearSystem, ONE, Scalar, ZERO, add_product, format_scalar, nullspace
 
 __all__ = [
     "BasisVector",
@@ -281,13 +281,24 @@ def bracket_basis(a: BasisVector, b: BasisVector) -> Element:
 
 
 def _bracket_into(acc: dict, x: Element, y: Element, factor=None) -> dict:
-    """Add ``[x, y]``, times ``factor`` if given, into ``acc`` as ``_add_into`` does."""
+    """Add ``[x, y]``, times ``factor`` if given, into ``acc`` as ``_add_into`` does.
+
+    Each term ``k*v`` of a basis bracket ``[a, b]`` adds ``k*ca*cb`` to ``v``
+    through ``add_product``, which builds one scalar per term.  ``ca`` is
+    scaled by ``factor`` once, when its first nonzero basis bracket needs it."""
     for a, ca in x._terms.items():
+        scaled = ca if factor is None else None
         for b, cb in y._terms.items():
             base = bracket_basis(a, b)._terms
             if base:
-                scale = ca * cb
-                _add_into(acc, base.items(), scale if factor is None else scale * factor)
+                if scaled is None:
+                    scaled = ca * factor
+                for v, k in base.items():
+                    total = add_product(acc.get(v), k, scaled, cb)
+                    if total is None:
+                        acc.pop(v, None)
+                    else:
+                        acc[v] = total
     return acc
 
 

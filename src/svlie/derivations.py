@@ -250,7 +250,9 @@ def outer_independence_kernel(
             for unit in units:
                 yield g, unit, (_outer_term(*unit, g),)
             for z in gens:
-                yield g, z, (-bracket_basis(z, g))._terms.items()
+                # a zero bracket adds no entry, so the pair yields no constraint
+                if terms := bracket_basis(z, g)._terms:
+                    yield g, z, ((v, -cf) for v, cf in terms.items())
 
     kernel = nullspace(_constraint_system((*units, *gens), constraints()))
     return [(vec[0], vec[1], vec[2], Element(zip(gens, vec[3:]))) for vec in kernel]

@@ -1,12 +1,14 @@
 """Exact Gaussian-rational scalars and a sparse exact linear solver.
 
 Every coefficient in this package is a Gaussian rational ``(a + b*i)/d``
-held as three integers in canonical form: ``d > 0`` and
+held as one tuple of three integers in canonical form: ``d > 0`` and
 ``gcd(a, b, d) == 1``, with zero stored as ``(0, 0, 1)``.  Each operation
 computes an unreduced triple and divides out one ``math.gcd``, so equal
-values always have equal triples.  Nothing here rounds: ``==`` is the only
-notion of equality, and the solver below keeps its rows sparse and
-eliminates each one by its lowest nonzero column.
+values always have equal triples; ``add_product`` fuses the step
+``prev + k*x*y`` of a bracket's accumulation into one such reduction.
+Nothing here rounds: ``==`` is the only notion of equality, and the solver
+below keeps its rows sparse and eliminates each one by its lowest nonzero
+column.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "scan_scalar",
     "scan_simple_scalar",
     "nullspace",
+    "add_product",
 ]
 
 
@@ -42,20 +45,19 @@ class ParseError(ValueError):
 class Scalar:
     """A Gaussian rational ``re + im*i``; immutable and always canonical.
 
-    Stored as integers ``(_a, _b, _d)`` meaning ``(a + b*i)/d`` with
-    ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``), so ``==``
-    and ``hash`` compare three integers.  ``re`` and ``im`` are read back
-    as :class:`fractions.Fraction`.  Arithmetic accepts ``int`` and
+    Stored in one slot as the integer triple ``_t = (a, b, d)`` meaning
+    ``(a + b*i)/d``, with ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is
+    ``(0, 0, 1)``), so a new value is one object with one tuple, and ``==``
+    and ``hash`` compare that tuple.  ``re`` and ``im`` are read back as
+    :class:`fractions.Fraction`.  Arithmetic accepts ``int`` and
     ``Fraction`` operands on either side.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
         if re.__class__ is int and im.__class__ is int:
-            _set_a(self, re)
-            _set_b(self, im)
-            _set_d(self, 1)
+            _set(self, (re, im, 1))
             return
         # Fraction() would also read a float or a string in silence; coerce refuses them too
         for part in (re, im):
@@ -64,9 +66,7 @@ class Scalar:
         dr, di = re.denominator, im.denominator
         a, b, d = re.numerator * di, im.numerator * dr, dr * di
         g = gcd(a, b, d)
-        _set_a(self, a // g)
-        _set_b(self, b // g)
-        _set_d(self, d // g)
+        _set(self, (a // g, b // g, d // g))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of immutable Scalar")
@@ -75,15 +75,17 @@ class Scalar:
         raise AttributeError(f"cannot delete field {name!r} of immutable Scalar")
 
     def __reduce__(self):
-        return (_make, (self._a, self._b, self._d))
+        return (_make, self._t)
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        a, _, d = self._t
+        return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+        _, b, d = self._t
+        return Fraction(b, d)
 
     @classmethod
     def coerce(cls, value) -> "Scalar":
@@ -94,18 +96,18 @@ class Scalar:
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
     def is_zero(self) -> bool:
-        return not self._a and not self._b
+        return self._t == _ZERO_T
 
     def __bool__(self) -> bool:
-        return bool(self._a) or bool(self._b)
+        return self._t != _ZERO_T
 
     def __eq__(self, other):
         if other.__class__ is not Scalar:
             return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        return self._t == other._t
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
+        return hash(self._t)
 
     def __repr__(self) -> str:
         return f"Scalar(re={self.re!r}, im={self.im!r})"
@@ -115,13 +117,13 @@ class Scalar:
 
     def __add__(self, other):
         if other.__class__ is Scalar:
-            c, e, f = other._a, other._b, other._d
+            c, e, f = other._t
         else:
             parts = _parts(other)
             if parts is None:
                 return NotImplemented
             c, e, f = parts
-        a, b, d = self._a, self._b, self._d
+        a, b, d = self._t
         if d == f:
             return _reduced(a + c, b + e, d)
         return _reduced(a * f + c * d, b * f + e * d, d * f)
@@ -130,13 +132,13 @@ class Scalar:
 
     def __sub__(self, other):
         if other.__class__ is Scalar:
-            c, e, f = other._a, other._b, other._d
+            c, e, f = other._t
         else:
             parts = _parts(other)
             if parts is None:
                 return NotImplemented
             c, e, f = parts
-        a, b, d = self._a, self._b, self._d
+        a, b, d = self._t
         if d == f:
             return _reduced(a - c, b - e, d)
         return _reduced(a * f - c * d, b * f - e * d, d * f)
@@ -148,18 +150,21 @@ class Scalar:
         return _make(*parts) - self
 
     def __neg__(self):
-        return _make(-self._a, -self._b, self._d)
+        a, b, d = self._t
+        return _make(-a, -b, d)
 
     def __mul__(self, other):
-        a, b, d = self._a, self._b, self._d
+        t = self._t
         if other.__class__ is Scalar:
-            c, e, f = other._a, other._b, other._d
+            u = other._t
             # a unit factor returns the other operand itself; scalars are immutable
-            if c == 1 and not e and f == 1:
+            if u == _ONE_T:
                 return self
-            if a == 1 and not b and d == 1:
+            if t == _ONE_T:
                 return other
+            c, e, f = u
         elif other.__class__ is int:
+            a, b, d = t
             # gcd(a*k, b*k, d) == gcd(k, d) because gcd(a, b, d) == 1
             g = gcd(other, d)
             k = other // g
@@ -169,6 +174,7 @@ class Scalar:
             if parts is None:
                 return NotImplemented
             c, e, f = parts
+        a, b, d = t
         if not e:
             return _reduced(a * c, b * c, d * f)
         if not b:
@@ -178,7 +184,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        a, b, d = self._a, self._b, self._d
+        a, b, d = self._t
         norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("scalar division by zero")
@@ -194,10 +200,11 @@ class Scalar:
         if not isinstance(exponent, int):
             raise TypeError("scalar exponents must be integers")
         n = abs(exponent)
+        a, b, d = self._t
         # |a| | |b| | d has the bit length of the largest component
-        if n > 1 and n * (abs(self._a) | abs(self._b) | self._d).bit_length() > _MAX_POWER_BITS:
+        if n > 1 and n * (abs(a) | abs(b) | d).bit_length() > _MAX_POWER_BITS:
             # 0, +-1 and +-i do not grow under powers; anything else does
-            if self._d != 1 or abs(self._a) + abs(self._b) > 1:
+            if d != 1 or abs(a) + abs(b) > 1:
                 raise ValueError(
                     f"scalar power too large: exponent {exponent} would take it past "
                     f"{_MAX_POWER_BITS} bits"
@@ -220,29 +227,60 @@ class Scalar:
 # component, estimated as |exponent| times the base's largest bit length.
 _MAX_POWER_BITS = 1 << 14
 
+# The canonical triples of zero and one.
+_ZERO_T = (0, 0, 1)
+_ONE_T = (1, 0, 1)
 
-# Slot setters that bypass Scalar.__setattr__, for building new values.
-_set_a = Scalar._a.__set__
-_set_b = Scalar._b.__set__
-_set_d = Scalar._d.__set__
+# The slot setter that bypasses Scalar.__setattr__, for building new values.
+_set = Scalar._t.__set__
 _new = object.__new__
 
 
 def _make(a: int, b: int, d: int) -> Scalar:
     """Wrap a triple that is already canonical."""
     out = _new(Scalar)
-    _set_a(out, a)
-    _set_b(out, b)
-    _set_d(out, d)
+    _set(out, (a, b, d))
     return out
 
 
 def _reduced(a: int, b: int, d: int) -> Scalar:
     """Canonical form of ``(a + b*i)/d`` for ``d > 0``: one gcd."""
     g = gcd(a, b, d)
-    if g == 1:
-        return _make(a, b, d)
-    return _make(a // g, b // g, d // g)
+    out = _new(Scalar)
+    _set(out, (a, b, d) if g == 1 else (a // g, b // g, d // g))
+    return out
+
+
+def add_product(prev: Scalar | None, k: Scalar, x: Scalar, y: Scalar) -> Scalar | None:
+    """``prev + k*x*y`` with one reduction, or ``None`` when that sum is zero.
+
+    ``prev`` may be ``None``, read as zero.  This is the one step of a
+    bracket's accumulation: it multiplies and adds the integer triples
+    directly and builds only the final scalar.
+    """
+    a, b, d = x._t
+    c, e, f = y._t
+    if b or e:
+        a, b = a * c - b * e, a * e + b * c
+    else:
+        a *= c
+    p, q, r = k._t
+    if q:
+        a, b = p * a - q * b, p * b + q * a
+    else:
+        a *= p
+        b *= p
+    d *= f * r
+    if prev is not None:
+        g, h, s = prev._t
+        if s == d:
+            a += g
+            b += h
+        else:
+            a, b, d = a * s + g * d, b * s + h * d, d * s
+    if not a and not b:
+        return None
+    return _reduced(a, b, d)
 
 
 def _parts(value) -> tuple[int, int, int] | None:
@@ -261,7 +299,7 @@ I = Scalar(0, 1)
 
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: ``parse_scalar(format_scalar(x)) == x`` exactly."""
-    a, b, d = x._a, x._b, x._d
+    a, b, d = x._t
     if not b:
         return _ratio_text(a, d)
     imag = _ratio_text(abs(b), d) + "i"

@@ -22,7 +22,7 @@ from svlie.algebra import (
     single,
 )
 from svlie.derivations import apply_classified
-from svlie.scalar import Scalar
+from svlie.scalar import I, Scalar
 from svlie.verify import SplitMix64, random_classified, random_element, random_params, random_scalar
 
 
@@ -334,6 +334,43 @@ def test_exp_ad_matches_its_operator_chain_and_stays_zero_free():
     y1 = single(Y(1))
     assert exp_ad(y1, el((L(4), 1), (M(6), -2)))._terms == {L(4): Scalar(1), Y(5): Scalar(1)}
     assert exp_ad(y1, el((L(4), 1), (Y(5), -1)))._terms == {L(4): Scalar(1), M(6): Scalar(-2)}
+
+
+def _unfused_bracket(x, y):
+    """``[x, y]`` as the operator chain ``sum (ca*cb) * bracket_basis(a, b)``."""
+    out = ZERO_ELEMENT
+    for a, ca in x._terms.items():
+        for b, cb in y._terms.items():
+            out = out + bracket_basis(a, b) * (ca * cb)
+    return out
+
+
+def _unfused_exp_ad(x, t):
+    first = _unfused_bracket(x, t)
+    return t + first + _unfused_bracket(x, first) * Scalar(Fraction(1, 2))
+
+
+def test_fused_bracket_and_exp_ad_match_the_unfused_chain_and_stay_zero_free():
+    rng = SplitMix64(229)
+    # [L[1], L[3]] = 2 L[4] and [L[3], L[1]] = -2 L[4]: one accumulated term cancels
+    cancelling = el((L(1), 1), (L(3), 1)), el((L(3), 1), (L(1), 1))
+    for _ in range(40):
+        x, y = random_element(rng, 4), random_element(rng, 4)
+        s = random_scalar(rng, nonzero=True)
+        # [x, s*x] = 0: each pair of basis brackets cancels inside one accumulation
+        assert bracket(x, x * s)._terms == {}
+        for args in ((x, y), (x, x * s), (x + y, y - x * s), (x * I, y * s), cancelling):
+            got = bracket(*args)
+            assert got == _unfused_bracket(*args)
+            assert _zero_free(got)
+        r = _radical_element(rng, rng.randint(1, 3))
+        # the M terms added to y cancel the second order of exp(ad r) in the fused sum
+        t = y - _unfused_bracket(r, _unfused_bracket(r, y)) * Scalar(Fraction(1, 2))
+        for target in (y, t, y + r, r * s, y * I):
+            got = exp_ad(r, target)
+            assert got == _unfused_exp_ad(r, target)
+            assert _zero_free(got)
+        assert exp_ad(r, t) == y + _unfused_bracket(r, y)
 
 
 def _chain_jacobi(x, y, z):

@@ -96,7 +96,7 @@ def test_a_unit_factor_returns_the_other_operand():
     y = x * Scalar(Fraction(2, 3), -1)
     assert y is not x
     assert y == Scalar(Fraction(9, 2), Fraction(49, 12))
-    assert (y._a, y._b, y._d) == (54, 49, 12)
+    assert y._t == (54, 49, 12)
 
 
 def test_field_axioms_randomized():

@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from svlie.scalar import ONE, Scalar, ZERO, format_scalar, parse_scalar  # noqa: E402
+from svlie.scalar import I, ONE, Scalar, ZERO, add_product, format_scalar, parse_scalar  # noqa: E402
 
 # The repr the frozen-dataclass Scalar printed; failure witnesses embed it.
 _DataclassScalar = make_dataclass(
@@ -69,7 +69,8 @@ def m_pow(p, n):
 
 def assert_canonical(x, expected):
     assert type(x) is Scalar
-    a, b, d = x._a, x._b, x._d
+    assert type(x._t) is tuple
+    a, b, d = x._t
     assert all(type(v) is int for v in (a, b, d))
     assert d > 0
     assert gcd(a, b, d) == 1
@@ -93,6 +94,51 @@ def test_ring_operations_match_the_model(x, y):
     assert_canonical(x * y, m_mul(p, q))
     assert_canonical(y * x, m_mul(q, p))
     assert_canonical(-x, (-p[0], -p[1]))
+
+
+# factors as they reach add_product: Gaussian, integer-valued, unit and zero scalars
+int_scalars = st.one_of(small_ints, big_ints).map(Scalar)
+factors = st.one_of(
+    scalars, int_scalars, unit_scalars, st.sampled_from([ZERO, -ONE, I, -I, Scalar(1, -1)])
+)
+
+
+def m_product(k, x, y):
+    return m_mul(m_mul(model(k), model(x)), model(y))
+
+
+@given(st.none() | factors, factors, factors, factors)
+def test_add_product_matches_the_model(prev, k, x, y):
+    expected = m_product(k, x, y)
+    if prev is not None:
+        expected = m_add(model(prev), expected)
+    out = add_product(prev, k, x, y)
+    if expected == (0, 0):
+        assert out is None
+    else:
+        assert_canonical(out, expected)
+
+
+@given(factors, factors, factors)
+def test_add_product_returns_none_exactly_when_the_sum_cancels(k, x, y):
+    product = k * x * y
+    assert add_product(-product, k, x, y) is None
+    if product:
+        assert_canonical(add_product(None, k, x, y), model(product))
+        assert_canonical(add_product(product, k, x, y), model(product * 2))
+    else:
+        assert add_product(None, k, x, y) is None
+
+
+def test_add_product_examples():
+    x = Scalar(Fraction(-3, 4), 5)
+    assert add_product(None, ONE, x, ONE) == x
+    assert add_product(None, Scalar(2), x, Scalar(Fraction(1, 2))) == x
+    assert add_product(Scalar(3), Scalar(-1), Scalar(3), ONE) is None
+    assert add_product(I, I, I, I) is None  # i + i**3
+    assert add_product(ONE, I, I, ONE) is None  # 1 + i**2
+    assert add_product(None, ZERO, x, x) is None
+    assert add_product(Scalar(Fraction(1, 6)), Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3)), ONE)._t == (1, 0, 3)
 
 
 @given(scalars, operands)
@@ -187,11 +233,11 @@ def test_plain_number_comparison_examples():
 
 def test_immutable():
     x = Scalar(Fraction(1, 2), 3)
-    for name in ("re", "im", "_a", "_b", "_d", "other"):
+    for name in ("re", "im", "_t", "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, 1)
     with pytest.raises(AttributeError):
-        del x._a
+        del x._t
     assert x == Scalar(Fraction(1, 2), 3)
 
 
@@ -200,3 +246,5 @@ def test_copy_and_pickle_keep_the_value():
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert y == x
         assert hash(y) == hash(x)
+        assert type(y._t) is tuple
+        assert y._t == x._t == (-21, 10, 12)
