@@ -248,11 +248,12 @@ def format_element(x: Element) -> str:
 
 # Terms of a parsed element, and entries of an automorphism's b or c.  The
 # bracket of two sums is quadratic in their terms, so one command then runs
-# at most _MAX_TERMS**2 basis brackets, and the cache keeps that many.
+# at most _MAX_BRACKETS basis brackets, and the cache keeps that many.
 _MAX_TERMS = 256
+_MAX_BRACKETS = _MAX_TERMS**2
 
 
-@functools.lru_cache(maxsize=_MAX_TERMS**2)
+@functools.lru_cache(maxsize=_MAX_BRACKETS)
 def bracket_basis(a: BasisVector, b: BasisVector) -> Element:
     """Bracket of two basis vectors, straight from the structure constants."""
     ka, kb = a.kind, b.kind
@@ -310,31 +311,30 @@ def bracket(x: Element, y: Element) -> Element:
 _HALF = Scalar(Fraction(1, 2))
 
 
+def _check_bracket_work(text: str, x: Element, y: Element) -> None:
+    if (work := len(x._terms) * len(y._terms)) > _MAX_BRACKETS:
+        raise ValueError(
+            f"exp_ad too large: {text} needs {work} basis brackets, over the limit of {_MAX_BRACKETS}"
+        )
+
+
 def exp_ad(x: Element, target: Element) -> Element:
     """Apply exp(ad x) to ``target`` for x supported on Y and M terms.
 
     On that span ``(ad x)^3 = 0`` on the whole algebra, so the series is the
     exact polynomial ``target + [x, t] + [x, [x, t]]/2``.  The first bracket
     runs ``|x| * |t|`` basis brackets and the second ``|x| * |[x, t]|``; a
-    bracket over ``_MAX_TERMS**2`` is refused with a ValueError before any of
+    bracket over ``_MAX_BRACKETS`` is refused with a ValueError before any of
     its basis brackets runs.
     """
     for bv in x._terms:
         if bv.kind not in ("Y", "M"):
             raise ValueError(f"ad not nilpotent / not in inner radical: {bv}")
-    work = len(x._terms) * len(target._terms)
-    if work > _MAX_TERMS**2:
-        raise ValueError(
-            f"exp_ad too large: [x, t] needs {work} basis brackets, over the limit of {_MAX_TERMS**2}"
-        )
+    _check_bracket_work("[x, t]", x, target)
     first = bracket(x, target)
     if first.is_zero():
         return target
-    work = len(x._terms) * len(first._terms)
-    if work > _MAX_TERMS**2:
-        raise ValueError(
-            f"exp_ad too large: [x, [x, t]] needs {work} basis brackets, over the limit of {_MAX_TERMS**2}"
-        )
+    _check_bracket_work("[x, [x, t]]", x, first)
     acc = _add_into(dict(target._terms), first._terms.items())
     return Element._wrap(_bracket_into(acc, x, first, _HALF))
 

@@ -52,7 +52,7 @@ from .algebra import (
     exp_ad,
     single,
 )
-from .derivations import WindowMap, _apply_outer, _bracket_violations
+from .derivations import MAP_RADIUS, WindowMap, _apply_outer, _bracket_violations
 from .scalar import ONE, Scalar, ZERO
 
 __all__ = [
@@ -143,7 +143,7 @@ def _tail(p: AutomorphismParams) -> Callable[[Element], Element]:
     L, Y, M, C.  Each factor equal to 1 is skipped.  The shear element and
     the kind factors are built once; each ``u^n`` is computed once per index.
     """
-    outer = p.beta or p.gamma
+    outer = bool(p.beta or p.gamma)
     shear = single(Y(0), 2 * p.alpha) if p.alpha else None
     kind_factor = {} if p.w == ONE else {"Y": p.w, "M": p.w * p.w}
     scale_degree = p.u != ONE
@@ -260,8 +260,8 @@ def factorize(dmap: WindowMap) -> AutomorphismParams:
     leaves its tail image, whose M[s] coefficient gives beta.  A full
     window sweep then verifies the reconstruction and rejects anything else.
     """
-    if dmap.window.radius < 3:
-        raise ValueError("factorize needs window radius >= 3")
+    if dmap.window.radius < MAP_RADIUS:
+        raise ValueError(f"factorize needs window radius >= {MAP_RADIUS}")
 
     def fail(bv: BasisVector) -> None:
         raise FactorizationError(f"not an automorphism of canonical shape: {bv}")
@@ -313,7 +313,7 @@ def factorize(dmap: WindowMap) -> AutomorphismParams:
 
 
 def compose_oracle(
-    p: AutomorphismParams, q: AutomorphismParams, radius: int = 3
+    p: AutomorphismParams, q: AutomorphismParams, radius: int = MAP_RADIUS
 ) -> AutomorphismParams:
     """Generator-wise composition: apply q then p on a window, refactorize."""
     act_p, act_q = action(p), action(q)

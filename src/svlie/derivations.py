@@ -35,6 +35,8 @@ from .algebra import (
 from .scalar import ONE, Scalar, ZERO, nullspace
 
 __all__ = [
+    "MAP_RADIUS",
+    "HOM_RADIUS",
     "DerivationError",
     "ClassifiedDerivation",
     "WindowMap",
@@ -46,6 +48,11 @@ __all__ = [
     "outer_independence_kernel",
     "equivariant_hom_nullity",
 ]
+
+# The window floors: the smallest radius on which decompose and autgroup.factorize
+# read a map off its images, and the smallest equivariant_hom_nullity accepts.
+MAP_RADIUS = 3
+HOM_RADIUS = 2
 
 
 class DerivationError(ValueError):
@@ -215,8 +222,8 @@ def decompose(dmap: WindowMap) -> ClassifiedDerivation:
     a failed fit raises DerivationError("residual not in classified span: " + its message).
     """
     window = dmap.window
-    if window.radius < 3:
-        raise ValueError("decompose needs window radius >= 3")
+    if window.radius < MAP_RADIUS:
+        raise ValueError(f"decompose needs window radius >= {MAP_RADIUS}")
     img_l0 = dmap.image(L(0))
     z = Element(
         [(bv, -cf / bv.degree) for bv, cf in img_l0._terms.items() if bv.degree != 0]
@@ -268,8 +275,8 @@ def equivariant_hom_nullity(window: Window) -> int:
     components outside the window still constrain the in-window unknowns.
     """
     radius = window.radius
-    if radius < 2:
-        raise ValueError("equivariant_hom_nullity needs window radius >= 2")
+    if radius < HOM_RADIUS:
+        raise ValueError(f"equivariant_hom_nullity needs window radius >= {HOM_RADIUS}")
     span = range(-radius, radius + 1)
     ls = [L(k) for k in span]
     targets = (*ls, C)

@@ -95,9 +95,6 @@ class Scalar:
             return cls(value)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
-    def is_zero(self) -> bool:
-        return self._t == _ZERO_T
-
     def __bool__(self) -> bool:
         return self._t != _ZERO_T
 

@@ -39,6 +39,8 @@ from .autgroup import (
     invert,
 )
 from .derivations import (
+    HOM_RADIUS,
+    MAP_RADIUS,
     ClassifiedDerivation,
     DerivationError,
     WindowMap,
@@ -55,8 +57,6 @@ from .scalar import ONE, Scalar, ZERO, format_scalar
 __all__ = ["SUITES", "SplitMix64", "run_suite", "render_text"]
 
 _MAX_WITNESSES = 3
-# the smallest window on which factorize and decompose accept a map
-_MAP_RADIUS = 3
 # the positions a random b or c draws from
 _SEQ_POSITIONS = (-3, -2, -1, 1, 2, 3)
 
@@ -203,7 +203,7 @@ def _center_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None
 
 def _derivation_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None]:
     checks = []
-    wradius = max(_MAP_RADIUS, radius)
+    wradius = max(MAP_RADIUS, radius)
     unit_rules = [
         ("rule-l-to-m", ClassifiedDerivation(c1=ONE)),
         ("rule-l-to-nm", ClassifiedDerivation(c2=ONE)),
@@ -269,18 +269,18 @@ def _hom_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None]:
     return [_check("hom-vanishing", 1, witnesses)], None
 
 
-def _ideal_violations(params: AutomorphismParams, radius: int) -> list[str]:
-    out = []
-    window = Window(radius)
-    for bv in window.vectors():
+def _ideal_violation(act, gens) -> str | None:
+    """The witness for the first of ``gens`` that ``act`` moves out of its ideal,
+    the span of Y, M and C or, for M and C, of M and C; an L term is named first."""
+    for bv in gens:
         if bv.kind == "L":
-            continue  # the ideals are spanned by Y, M and C; no check reads an L image
-        kinds = {t.kind for t in apply(params, single(bv)).support()}
+            continue  # L is in neither ideal
+        kinds = {t.kind for t in act(single(bv)).support()}
         if "L" in kinds:
-            out.append(f"L-term in image of {bv}")
+            return f"L-term in image of {bv}"
         if bv.kind in ("M", "C") and "Y" in kinds:
-            out.append(f"Y-term in image of {bv}")
-    return out
+            return f"Y-term in image of {bv}"
+    return None
 
 
 def _group_law_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], None]:
@@ -318,7 +318,7 @@ def _group_law_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], N
     witnesses = []
     for case in range(half):
         p = random_params(rng)
-        if factorize(automorphism_window_map(p, max(_MAP_RADIUS, radius))) != p:
+        if factorize(automorphism_window_map(p, max(MAP_RADIUS, radius))) != p:
             witnesses.append(f"case {case}")
     checks.append(_check("factorize-apply-identity", half, witnesses))
 
@@ -327,9 +327,8 @@ def _group_law_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], N
         expected = single(C) if p.i == 0 else -single(C)
         if apply(p, single(C)) != expected:
             witnesses.append(f"case {case}: central character")
-        for msg in _ideal_violations(p, radius):
+        if (msg := _ideal_violation(action(p), gens)) is not None:
             witnesses.append(f"case {case}: {msg}")
-            break
     checks.append(_check("central-character-and-ideals", cases, witnesses))
     return checks, None
 
@@ -383,30 +382,28 @@ def _candidate_components(p: AutomorphismParams, q: AutomorphismParams) -> dict:
     return out
 
 
-_RELATION_FORMULAS = {
-    "w": "w'' = w * w'",
-    "i": "i'' = i + i' (mod 2)",
-    "u": "u'' = u^((-1)^i') * u'",
-    "gamma": "gamma'' = gamma / w'^2 + gamma'",
-    "alpha": "alpha'' = (alpha / w' + alpha') / 2",
-    "beta": "beta'' = beta / w'^2 + alpha'^2 + beta' + gamma'",
-    "b": "b''_j = b_j + (-1)^i w u^((-1)^i j) b'_((-1)^i j)",
+# relation -> (formula, printer of its values), in report order; delta-product,
+# which audits the shear alone, comes last
+_RELATIONS = {
+    "w": ("w'' = w * w'", format_scalar),
+    "i": ("i'' = i + i' (mod 2)", str),
+    "u": ("u'' = u^((-1)^i') * u'", format_scalar),
+    "gamma": ("gamma'' = gamma / w'^2 + gamma'", format_scalar),
+    "alpha": ("alpha'' = (alpha / w' + alpha') / 2", format_scalar),
+    "beta": ("beta'' = beta / w'^2 + alpha'^2 + beta' + gamma'", format_scalar),
+    "b": ("b''_j = b_j + (-1)^i w u^((-1)^i j) b'_((-1)^i j)", _seq_text),
     "c": (
         "c''_k = c_k + (-1)^i w^2 u^((-1)^i k) c'_((-1)^i k)"
         " + 2 alpha k w^2 u^((-1)^i k) b'_((-1)^i k)"
         " - sum_j ((-1)^i w (k-j)(k-2j) / 2k)"
-        " (u^((-1)^i j) b'_((-1)^i j) b_(k-j) - u^((-1)^i (k-j)) b_j b'_((-1)^i (k-j)))"
+        " (u^((-1)^i j) b'_((-1)^i j) b_(k-j) - u^((-1)^i (k-j)) b_j b'_((-1)^i (k-j)))",
+        _seq_text,
     ),
-    "delta-product": "shear(a,b,g) . shear(a',b',g') = shear(a+a', b+b', g+g'+2aa')",
+    "delta-product": (
+        "shear(a,b,g) . shear(a',b',g') = shear(a+a', b+b', g+g'+2aa')",
+        lambda values: ", ".join(map(format_scalar, values)),
+    ),
 }
-
-
-def _component_text(name: str, value) -> str:
-    if name == "i":
-        return str(value)
-    if name in ("b", "c"):
-        return _seq_text(value)
-    return format_scalar(value)
 
 
 def _curated_pairs() -> list[tuple[AutomorphismParams, AutomorphismParams]]:
@@ -434,8 +431,9 @@ def _curated_pairs() -> list[tuple[AutomorphismParams, AutomorphismParams]]:
     return pairs
 
 
-def _relation(name: str, trials, text) -> dict:
+def _relation(name: str, trials) -> dict:
     """One verdict row; its witness is the first (p, q, printed, oracle) trial that disagrees."""
+    formula, text = _RELATIONS[name]
     witness = None
     for p, q, printed, oracle in trials:
         if printed != oracle:
@@ -444,7 +442,7 @@ def _relation(name: str, trials, text) -> dict:
             break
     return {
         "name": name,
-        "formula": _RELATION_FORMULAS[name],
+        "formula": formula,
         "verdict": "AGREE" if witness is None else "DISAGREE",
         "witness": witness,
     }
@@ -473,9 +471,9 @@ def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], lis
         _relation(
             name,
             ((p, q, candidate[name], getattr(oracle, name)) for p, q, candidate, oracle in results),
-            lambda value, name=name: _component_text(name, value),
         )
-        for name in ("w", "i", "u", "gamma", "alpha", "beta", "b", "c")
+        for name in _RELATIONS
+        if name != "delta-product"
     ]
 
     def shear_trials():
@@ -488,9 +486,7 @@ def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], lis
             )
             yield p, q, predicted, (oracle.alpha, oracle.beta, oracle.gamma)
 
-    relations.append(
-        _relation("delta-product", shear_trials(), lambda vs: ", ".join(map(format_scalar, vs)))
-    )
+    relations.append(_relation("delta-product", shear_trials()))
     return checks, relations
 
 
@@ -501,9 +497,9 @@ _SUITES = {
     "jacobi": (1, _jacobi_checks),
     "center": (1, _center_checks),
     "derivations": (1, _derivation_checks),
-    "hom-vanishing": (2, _hom_checks),
+    "hom-vanishing": (HOM_RADIUS, _hom_checks),
     "group-law": (1, _group_law_checks),
-    "lemma36-verdict": (_MAP_RADIUS, _lemma36_checks),
+    "lemma36-verdict": (MAP_RADIUS, _lemma36_checks),
 }
 SUITES = (*_SUITES, "all")
 

@@ -277,6 +277,16 @@ def test_element_equality_and_zero_dropping():
     assert single(L(1)) != single(Y(1))
 
 
+@pytest.mark.parametrize("other", [1, I, "x"], ids=["int", "scalar", "str"])
+def test_element_arithmetic_with_a_non_element_raises_and_equality_is_false(other):
+    x = single(L(0))
+    with pytest.raises(TypeError):
+        x + other
+    with pytest.raises(TypeError):
+        x - other
+    assert (x == other) is False
+
+
 def test_element_refuses_a_key_that_is_not_a_basis_vector():
     for terms in ([("L", 1)], [("L", 0)], {("L", 1): 2}, [(L(1), 1), (1, 1)]):
         with pytest.raises(TypeError, match="keyed by BasisVector"):

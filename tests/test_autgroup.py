@@ -287,22 +287,29 @@ _INNER = AutomorphismParams(b={-2: ONE, 1: sc(2)}, c={2: ONE}, u=sc(3), w=sc(2),
 
 @pytest.mark.parametrize(
     "holder, stray",
-    [(L(0), L(2)), (L(1), Y(3))],
-    ids=["l2-in-l0", "y3-in-l1"],
+    [
+        (L(0), single(L(2))),
+        (L(1), single(Y(3))),
+        (Y(0), single(Y(0), -_INNER.w)),
+        (L(0), single(L(0))),
+        (L(0), single(Y(0))),
+    ],
+    ids=["l2-in-l0", "y3-in-l1", "w-zero", "l0-coefficient-not-s", "y0-in-l0"],
 )
 def test_factorize_names_the_image_that_holds_a_stray_term(holder, stray):
-    # b carries -2, so peeling the inner factor spreads the stray term into the
-    # M[0] or M[1] coefficient that gamma, c or beta are read from
+    # b carries -2, so peeling the inner factor spreads a stray L[2] or Y[3] into
+    # the M[0] or M[1] coefficient that gamma, c or beta are read from; the last
+    # three make w zero, the L[0] coefficient 2, and put Y[0] in the L[0] image
     wmap = automorphism_window_map(_INNER, 3)
     images = dict(wmap.images)
-    images[holder] = images[holder] + single(stray)
+    images[holder] = images[holder] + stray
     message = f"not an automorphism of canonical shape: {holder}"
     with pytest.raises(FactorizationError, match=f"^{re.escape(message)}$"):
         factorize(WindowMap(wmap.window, images))
 
 
 def test_factorize_needs_radius_3():
-    with pytest.raises(ValueError, match="radius"):
+    with pytest.raises(ValueError, match=r"^factorize needs window radius >= 3$"):
         factorize(automorphism_window_map(identity(), 2))
 
 

@@ -254,6 +254,26 @@ def test_non_object_images_exit_2(tmp_path, capsys, images):
     assert "images must be an object of basis vector -> element" in err
 
 
+@pytest.mark.parametrize("content", ["[]", '"L[0]"', "3", "null"])
+def test_a_file_that_is_not_a_json_object_exits_2(tmp_path, capsys, content):
+    p_file = tmp_path / "p.json"
+    p_file.write_text(content)
+    code, out, err = run(capsys, "invert", str(p_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {p_file}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize("field, value", [("b", []), ("c", "1"), ("b", None)])
+def test_non_object_b_or_c_exits_2(tmp_path, capsys, field, value):
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps({field: value, "u": "1", "w": "1"}))
+    code, out, err = run(capsys, "invert", str(p_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {p_file}: {field} must be an object of position -> scalar\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [("invert", "{path}"), ("factorize", "{path}"), ("apply-aut", "--params", "{path}", "L[0]")],

@@ -90,6 +90,12 @@ def test_window_map_validation():
         wmap.image(L(3))
 
 
+def test_a_window_map_is_unequal_to_a_non_map():
+    wmap = classified_window_map(RULE1, 2)
+    assert (wmap == 1) is False
+    assert wmap != wmap.images
+
+
 def test_classify_degree0_roundtrip():
     # d = 3, d1 = -1/2, g0 = 2: L[n] -> (3n - 1/2) M[n]
     deriv = ClassifiedDerivation(c1=Fraction(-1, 2), c2=3, c3=2)
@@ -183,7 +189,7 @@ def test_decompose_roundtrip_randomized():
 
 
 def test_decompose_needs_radius_3():
-    with pytest.raises(ValueError, match="radius"):
+    with pytest.raises(ValueError, match=r"^decompose needs window radius >= 3$"):
         decompose(classified_window_map(RULE1, 2))
 
 
@@ -248,7 +254,7 @@ def test_hom_nullity_wide_windows(radius):
 
 
 def test_hom_nullity_needs_radius_2():
-    with pytest.raises(ValueError, match="radius"):
+    with pytest.raises(ValueError, match=r"^equivariant_hom_nullity needs window radius >= 2$"):
         equivariant_hom_nullity(Window(1))
 
 

@@ -1,3 +1,4 @@
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -73,6 +74,23 @@ def test_constructor_takes_only_ints_and_fractions(part):
         Scalar(part)
     with pytest.raises(TypeError, match="Scalar parts must be int or Fraction"):
         Scalar(1, part)
+
+
+def test_a_non_integer_exponent_is_refused():
+    with pytest.raises(TypeError, match="scalar exponents must be integers"):
+        q(2) ** 1.5
+
+
+@pytest.mark.parametrize("other", ["x", 0.5, None], ids=["str", "float", "none"])
+def test_arithmetic_with_a_non_number_raises_and_equality_is_false(other):
+    # each operator returns NotImplemented, so Python raises instead of coercing
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(ONE, other)
+        with pytest.raises(TypeError):
+            op(other, ONE)
+    assert (ONE == other) is False
+    assert ONE != other
 
 
 def test_constructor_takes_bools_as_ints():

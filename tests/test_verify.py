@@ -355,6 +355,11 @@ def _with_extra(kinds, extra):
     return patched
 
 
+def _action_with_extra(kinds, extra):
+    patched = _with_extra(kinds, extra)
+    return lambda p: lambda x: patched(p, x)
+
+
 @pytest.mark.parametrize(
     "binding, defect, name, cases, witnesses",
     [
@@ -365,9 +370,9 @@ def _with_extra(kinds, extra):
         ("factorize", lambda wmap: identity(), "factorize-apply-identity", 1, ["case 0"]),
         ("apply", _with_extra("C", C), "central-character-and-ideals", 2,
          ["case 0: central character", "case 1: central character"]),
-        ("apply", _with_extra("YM", L(0)), "central-character-and-ideals", 2,
+        ("action", _action_with_extra("YM", L(0)), "central-character-and-ideals", 2,
          ["case 0: L-term in image of Y[-1]", "case 1: L-term in image of Y[-1]"]),
-        ("apply", _with_extra("M", Y(0)), "central-character-and-ideals", 2,
+        ("action", _action_with_extra("M", Y(0)), "central-character-and-ideals", 2,
          ["case 0: Y-term in image of M[-1]", "case 1: Y-term in image of M[-1]"]),
     ],
     ids=["action", "associativity", "inverse", "factorize", "central-character",
