@@ -12,7 +12,11 @@ parenthesized whenever its text contains '+' or '-'.  A bare scalar term is
 only meaningful when the scalar part of the whole expression cancels to
 zero ("0" denotes the zero element); any other bare scalar is rejected.
 The canonical printer lives in :mod:`svlie.algebra`; ``parse_element`` is
-its exact inverse.
+its exact inverse.  Each reader first takes the printers' own spelling with
+one compiled match per element term, or per whole basis-vector or scalar
+text, and builds the value from the matched digit runs.  Any text that step
+does not take in full goes to the token scanner from the start, so values,
+errors and offsets are the scanner's either way.
 
 The JSON codecs write and read automorphism parameters, window maps and
 classified derivations.  Each decoder opens with ``_fields``, which refuses a
@@ -27,7 +31,7 @@ from .algebra import BasisVector, C, Element, Window, _MAX_TERMS, format_element
 from .autgroup import AutomorphismParams
 from .derivations import ClassifiedDerivation, WindowMap
 from .scalar import ONE, ParseError, Scalar, ZERO, _digit_run, _skip_ws, format_scalar, parse_scalar
-from .scalar import scan_scalar, scan_simple_scalar
+from .scalar import SCALAR_SPELLING, scan_scalar, scan_simple_scalar, spelled_scalar
 
 __all__ = ["parse_element", "parse_basis_vector", "MAX_INDEX", "params_to_json", "params_from_json",
            "window_map_to_json", "window_map_from_json", "classified_to_json", "classified_from_json"]
@@ -44,6 +48,24 @@ _MINUS_ONE = Scalar(-1)
 # the start of the first piece that is missing or malformed is the offset of
 # the error, as a scan of one token at a time would report it.
 _basis = re.compile(r"\s*(\[?)\s*([+-]?)\s*([0-9]*)\s*(\]?)").match
+
+
+# The printers' spelling of a basis vector, and of one element term: an
+# optional coefficient, '*', the basis vector, then ' + ', ' - ' or the end of
+# the text.  The only whitespace is the separator's two fixed spaces, and every
+# digit run is followed only by a non-digit, so a failed match is linear.  A
+# coefficient with an inner sign must be parenthesized; parse_element checks that.
+_BASIS = rf"(?:([LYM])\[(-?[0-9]{{1,{len(str(MAX_INDEX))}}})\]|C)"
+_spelled_basis = re.compile(_BASIS).fullmatch
+_spelled_term = re.compile(rf"(?:(\()?{SCALAR_SPELLING}(?(1)\))\*)?{_BASIS}(?: ([+-]) |\Z)").match
+
+
+def _basis_vector(kind: str | None, run: str) -> BasisVector | None:
+    """The basis vector ``_BASIS`` matched, or ``None`` past MAX_INDEX."""
+    if kind is None:
+        return C
+    value = int(run)
+    return BasisVector(kind, value) if -MAX_INDEX <= value <= MAX_INDEX else None
 
 
 def _index(run: str, start: int) -> int:
@@ -70,6 +92,13 @@ def _scan_basis(text: str, pos: int) -> tuple[BasisVector, int]:
 
 def parse_basis_vector(text: str) -> BasisVector:
     """Parse a complete basis-vector string such as "L[-3]" or "C"."""
+    m = _spelled_basis(text)
+    bv = _basis_vector(*m.groups()) if m else None
+    return _scanned_basis_vector(text) if bv is None else bv
+
+
+def _scanned_basis_vector(text: str) -> BasisVector:
+    """``parse_basis_vector`` by the scanner alone, the source of every error."""
     pos = _skip_ws(text, 0)
     if pos >= len(text) or text[pos] not in "LYMC":
         raise ParseError(pos, "basis vector (L, Y, M or C)")
@@ -81,7 +110,45 @@ def parse_basis_vector(text: str) -> BasisVector:
 
 
 def parse_element(text: str) -> Element:
-    """Parse an element expression; exact inverse of the canonical printer."""
+    """Parse an element expression; exact inverse of the canonical printer.
+
+    One match per term of the printer's spelling; a text that leaves it or
+    passes a limit (257 terms, MAX_INDEX, 4,300 digits, a zero denominator)
+    goes to the scanner from the start."""
+    if text == "0":
+        return Element()
+    terms: list[tuple[BasisVector, Scalar]] = []
+    negative = text.startswith("-")
+    pos = 1 if negative else 0
+    while len(terms) < _MAX_TERMS:
+        m = _spelled_term(text, pos)
+        if m is None:
+            break
+        paren, p, q, imag, op, r, s, kind, run, sep = m.groups()
+        bv = _basis_vector(kind, run)
+        if bv is None:
+            break
+        if p is None:
+            coeff = _MINUS_ONE if negative else ONE
+        else:
+            if op is not None:
+                if paren is None:
+                    break
+                if negative:
+                    op = "+" if op == "-" else "-"
+            coeff = spelled_scalar(negative, p, q, imag, op, r, s)
+            if coeff is None:
+                break
+        terms.append((bv, coeff))
+        if sep is None:
+            return Element(terms)
+        negative = sep == "-"
+        pos = m.end()
+    return _scanned_element(text)
+
+
+def _scanned_element(text: str) -> Element:
+    """``parse_element`` by the scanner alone, the source of every error."""
     terms: list[tuple[BasisVector, Scalar]] = []
     parsed = 0
     loose = ZERO

@@ -26,6 +26,8 @@ __all__ = [
     "I",
     "format_scalar",
     "parse_scalar",
+    "SCALAR_SPELLING",
+    "spelled_scalar",
     "scan_scalar",
     "scan_simple_scalar",
     "nullspace",
@@ -387,8 +389,47 @@ def scan_simple_scalar(text: str, pos: int) -> tuple[Scalar, int]:
     return _reduced(p, 0, q), pos
 
 
+# The printer's spelling of a scalar after its sign, as format_scalar writes
+# it: a ratio p[/q], then 'i' or a sign, a second ratio r[/s] and 'i'.  It
+# holds no whitespace, and each run of 1 to _MAX_DIGITS ASCII digits is
+# followed only by a non-digit, so a failed match gives each run back once and
+# takes linear time.  The element reader embeds it for a term's coefficient.
+_RATIO = f"([0-9]{{1,{_MAX_DIGITS}}})(?:/([0-9]{{1,{_MAX_DIGITS}}}))?"
+SCALAR_SPELLING = f"{_RATIO}(?:(i)|([+-]){_RATIO}i)?"
+_spelled = re.compile(f"(-?){SCALAR_SPELLING}").fullmatch
+
+
+def spelled_scalar(negative, p: str, q: str | None, imag: str | None, op: str | None,
+                   r: str | None, s: str | None) -> Scalar | None:
+    """The value of the digit runs ``SCALAR_SPELLING`` matched, with ``p`` negated
+    if ``negative``; ``None`` for a zero denominator, which the scanner reports."""
+    a = -int(p) if negative else int(p)
+    d = int(q) if q else 1
+    if op is None:
+        if not d:
+            return None
+        return _reduced(0, a, d) if imag else _reduced(a, 0, d)
+    b = int(r)
+    e = int(s) if s else 1
+    if not (d and e):
+        return None
+    return _reduced(a * e, (b if op == "+" else -b) * d, d * e)
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse a complete scalar string; rejects trailing input."""
+    """Parse a complete scalar string; rejects trailing input.
+
+    One match reads the printer's spelling; any other text goes to the scanner."""
+    m = _spelled(text)
+    if m is not None:
+        value = spelled_scalar(*m.groups())
+        if value is not None:
+            return value
+    return _scanned_scalar(text)
+
+
+def _scanned_scalar(text: str) -> Scalar:
+    """``parse_scalar`` by the scanner alone, the source of every error."""
     value, pos = scan_scalar(text, 0)
     pos = _skip_ws(text, pos)
     if pos != len(text):
