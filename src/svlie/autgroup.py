@@ -47,7 +47,6 @@ from .algebra import (
     L,
     M,
     Y,
-    _add_into,
     bracket,
     exp_ad,
     single,
@@ -219,9 +218,7 @@ def compose(p: AutomorphismParams, q: AutomorphismParams) -> AutomorphismParams:
 
     xi_p = _inner_argument(p.b, p.c)
     eta = _tail(p)(_inner_argument(q.b, q.c))
-    bch = _add_into(dict(xi_p._terms), eta._terms.items())
-    _add_into(bch, bracket(xi_p, eta)._terms.items(), ONE / 2)
-    b2, c2 = _split_inner(Element._wrap(bch))
+    b2, c2 = _split_inner(xi_p + eta + bracket(xi_p, eta) * (ONE / 2))
     return AutomorphismParams(b2, c2, i2, u2, w2, alpha2, beta2, gamma2)
 
 

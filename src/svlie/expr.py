@@ -77,6 +77,8 @@ def _index(run: str, start: int) -> int:
 
 
 def _scan_basis(text: str, pos: int) -> tuple[BasisVector, int]:
+    if pos >= len(text) or text[pos] not in "LYMC":
+        raise ParseError(pos, "basis vector (L, Y, M or C)")
     kind = text[pos]
     if kind == "C":
         return C, pos + 1
@@ -99,10 +101,7 @@ def parse_basis_vector(text: str) -> BasisVector:
 
 def _scanned_basis_vector(text: str) -> BasisVector:
     """``parse_basis_vector`` by the scanner alone, the source of every error."""
-    pos = _skip_ws(text, 0)
-    if pos >= len(text) or text[pos] not in "LYMC":
-        raise ParseError(pos, "basis vector (L, Y, M or C)")
-    bv, pos = _scan_basis(text, pos)
+    bv, pos = _scan_basis(text, _skip_ws(text, 0))
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ParseError(pos, "end of basis vector")
@@ -174,10 +173,7 @@ def _scanned_element(text: str) -> Element:
             pos = _skip_ws(text, pos)
         if coeff is not None:
             if pos < len(text) and text[pos] == "*":
-                pos = _skip_ws(text, pos + 1)
-                if pos >= len(text) or text[pos] not in "LYMC":
-                    raise ParseError(pos, "basis vector (L, Y, M or C)")
-                bv, pos = _scan_basis(text, pos)
+                bv, pos = _scan_basis(text, _skip_ws(text, pos + 1))
                 terms.append((bv, -coeff if negative else coeff))
             else:
                 loose = loose - coeff if negative else loose + coeff

@@ -6,7 +6,9 @@
 - ``svlie/__init__.py`` imports from a module only names in that module's ``__all__``;
 - every other module imports only from modules before it in ``LAYERS``, so the
   engine (``scalar`` to ``autgroup``) never reaches the reader of outside input;
-- at most ``MAX_PRIVATE_IMPORTS`` private names are imported across modules.
+- at most ``MAX_PRIVATE_IMPORTS`` private names are imported across modules;
+- every module parses with the grammar of the oldest supported Python,
+  ``requires-python = ">=3.10"`` in pyproject.toml.
 
 Import checks read relative imports and absolute ones of ``svlie.<module>`` alike.
 """
@@ -21,7 +23,8 @@ import svlie
 PACKAGE = Path(svlie.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 LAYERS = ("scalar", "algebra", "derivations", "autgroup", "expr", "verify", "cli")
-MAX_PRIVATE_IMPORTS = 8
+MAX_PRIVATE_IMPORTS = 7
+OLDEST_PYTHON = (3, 10)
 
 
 def _tree(path: Path) -> ast.Module:
@@ -122,10 +125,10 @@ def test_each_module_imports_only_earlier_layers(name):
 
 
 def test_few_private_names_cross_modules():
-    """The eight: autgroup imports ``_add_into`` from algebra and ``_apply_outer`` and
-    ``_bracket_violations`` from derivations; derivations imports ``_add_into`` and
-    ``_constraint_system`` from algebra; expr imports ``_MAX_TERMS`` from algebra and
-    ``_digit_run`` and ``_skip_ws`` from scalar."""
+    """The seven: autgroup imports ``_apply_outer`` and ``_bracket_violations`` from
+    derivations; derivations imports ``_add_into`` and ``_constraint_system`` from
+    algebra; expr imports ``_MAX_TERMS`` from algebra and ``_digit_run`` and
+    ``_skip_ws`` from scalar."""
     crossing = sorted(
         f"{path.stem} <- {module}.{name}"
         for path in MODULES
@@ -133,3 +136,9 @@ def test_few_private_names_cross_modules():
         if name and name.startswith("_")
     )
     assert len(crossing) <= MAX_PRIVATE_IMPORTS, crossing
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_parses_on_the_oldest_supported_python(path):
+    # syntax newer than OLDEST_PYTHON (``except*``, for one) is a SyntaxError here
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST_PYTHON)

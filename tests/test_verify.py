@@ -250,12 +250,14 @@ def test_jacobi_evaluates_one_residual_per_set_of_three_generators(monkeypatch):
     assert check["cases"] == n**3
     assert len(calls) == n * (n - 1) * (n - 2) // 6 == 560
 
-    # pairs that are not antisymmetric fall back to one residual per rotation class
+    # the multisets holding the one pair [Y[2], L[1]] that is not antisymmetric
+    # evaluate each distinct ordering: six for each of the 14 other generators,
+    # three for each of the two repeats; the other 546 sets keep one residual
     calls.clear()
     table = algebra.bracket_basis
     monkeypatch.setattr(algebra, "bracket_basis", lambda a, b: _one_sided_corruption(a, b, table))
     run_suite("jacobi", 2)
-    assert len(calls) > 560
+    assert len(calls) == (560 - 14) + 14 * 6 + 2 * 3 == 636
 
 
 # One injected defect per suite check: each failure must reach the report and
@@ -385,6 +387,26 @@ def test_group_law_failure_names_the_case(monkeypatch, binding, defect, name, ca
     monkeypatch.setattr(verify, binding, defect)
     report = run_suite("group-law", radius=1, cases=2)
     _failing_check(report, name, cases, witnesses)
+
+
+def test_group_law_builds_three_actions_and_applies_once_per_case(monkeypatch):
+    counts = {"action": 0, "apply": 0}
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(verify, name, counted(name))
+    run_suite("group-law", 4, 0, 10)
+    # action of compose(p, q), of p (reused by the ideal sweep) and of q; apply
+    # only for the central character
+    assert counts == {"action": 30, "apply": 10}
 
 
 def test_lemma36_failure_prints_pairs_and_each_disagreeing_component(monkeypatch):
