@@ -17,12 +17,12 @@ term dict, and a term is dropped the moment it cancels.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import LinearSystem, ONE, Scalar, ZERO, add_product, format_scalar, nullspace
 
 __all__ = [
+    "Record",
     "BasisVector",
     "Element",
     "Window",
@@ -42,6 +42,50 @@ __all__ = [
 
 _KIND_ORDER = {"L": 0, "Y": 1, "M": 2, "C": 3}
 _INTERNED: dict[tuple[str, int], "BasisVector"] = {}
+
+
+class Record:
+    """An immutable value whose fields are its ``__slots__``, in order.
+
+    A subclass checks its arguments once in ``__init__`` and hands the field
+    values to ``_store``, which also keeps them as one tuple.  Equality and
+    hash compare that tuple between instances of one class, the repr is the
+    dataclass one, and ``__reduce__`` (for copies and pickles) and
+    ``replace(**changes)`` rebuild through ``__init__``, so every check runs
+    again.
+    """
+
+    __slots__ = ("_values",)
+
+    def _store(self, *values) -> None:
+        object.__setattr__(self, "_values", values)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built and checked by ``__init__``."""
+        return type(self)(**dict(zip(self.__slots__, self._values), **changes))
 
 
 class BasisVector:
@@ -356,15 +400,15 @@ def jacobi_residual(x: Element, y: Element, z: Element) -> Element:
     return Element._wrap(acc)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Enumeration bound |index| <= radius for tests; never truncates arithmetic."""
 
-    radius: int
+    __slots__ = ("radius",)
 
-    def __post_init__(self) -> None:
-        if self.radius < 1:
+    def __init__(self, radius: int) -> None:
+        if radius < 1:
             raise ValueError("window radius must be at least 1")
+        self._store(radius)
 
     def vectors(self) -> tuple[BasisVector, ...]:
         """L[-r..r], then Y[-r..r], M[-r..r] and C: one shared tuple per radius."""

@@ -36,16 +36,15 @@ definition they are tested against.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Mapping
 from types import MappingProxyType
-from typing import Callable
 
 from .algebra import (
     BasisVector,
     Element,
     L,
     M,
+    Record,
     Y,
     bracket,
     exp_ad,
@@ -96,32 +95,30 @@ def _position_map(entries) -> Mapping[int, Scalar]:
     return MappingProxyType({pos: values[pos] for pos in sorted(values) if values[pos]})
 
 
-@dataclass(frozen=True)
-class AutomorphismParams:
+class AutomorphismParams(Record):
     """The canonical tuple (b, c, i, u, w, alpha, beta, gamma); u, w nonzero."""
 
-    b: Mapping[int, Scalar] = field(default_factory=dict)
-    c: Mapping[int, Scalar] = field(default_factory=dict)
-    i: int = 0
-    u: Scalar = ONE
-    w: Scalar = ONE
-    alpha: Scalar = ZERO
-    beta: Scalar = ZERO
-    gamma: Scalar = ZERO
+    __slots__ = ("b", "c", "i", "u", "w", "alpha", "beta", "gamma")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", _position_map(self.b))
-        object.__setattr__(self, "c", _position_map(self.c))
+    def __init__(
+        self,
+        b: Mapping[int, Scalar] = (),
+        c: Mapping[int, Scalar] = (),
+        i: int = 0,
+        u: Scalar = ONE,
+        w: Scalar = ONE,
+        alpha: Scalar = ZERO,
+        beta: Scalar = ZERO,
+        gamma: Scalar = ZERO,
+    ) -> None:
+        b, c = _position_map(b), _position_map(c)
         # bool is a subclass of int and 1.0 == 1, so test the type as well
-        if type(self.i) is not int or self.i not in (0, 1):
+        if type(i) is not int or i not in (0, 1):
             raise ValueError("parity i must be the integer 0 or 1")
-        object.__setattr__(self, "u", Scalar.coerce(self.u))
-        object.__setattr__(self, "w", Scalar.coerce(self.w))
-        if not self.u or not self.w:
+        u, w = Scalar.coerce(u), Scalar.coerce(w)
+        if not u or not w:
             raise ValueError("u and w must be nonzero")
-        object.__setattr__(self, "alpha", Scalar.coerce(self.alpha))
-        object.__setattr__(self, "beta", Scalar.coerce(self.beta))
-        object.__setattr__(self, "gamma", Scalar.coerce(self.gamma))
+        self._store(b, c, i, u, w, Scalar.coerce(alpha), Scalar.coerce(beta), Scalar.coerce(gamma))
 
 
 def identity() -> AutomorphismParams:
@@ -235,7 +232,7 @@ def invert(p: AutomorphismParams) -> AutomorphismParams:
         alpha=-s * p.alpha * p.w, beta=-s * p.beta * w2, gamma=-p.gamma * w2,
     )
     b, c = _split_inner(-_tail(tail_inv)(_inner_argument(p.b, p.c)))
-    return replace(tail_inv, b=b, c=c)
+    return tail_inv.replace(b=b, c=c)
 
 
 def is_automorphism_window(

@@ -14,8 +14,7 @@ kernel solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .algebra import (
     BasisVector,
@@ -23,6 +22,7 @@ from .algebra import (
     Element,
     L,
     M,
+    Record,
     Window,
     Y,
     ZERO_ELEMENT,
@@ -59,21 +59,17 @@ class DerivationError(ValueError):
     """A window map fails one of the derivation classification contracts."""
 
 
-@dataclass(frozen=True)
-class ClassifiedDerivation:
+class ClassifiedDerivation(Record):
     """Coefficients on the three outer rules plus an inner part ad(inner)."""
 
-    c1: Scalar = ZERO
-    c2: Scalar = ZERO
-    c3: Scalar = ZERO
-    inner: Element = ZERO_ELEMENT
+    __slots__ = ("c1", "c2", "c3", "inner")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", Scalar.coerce(self.c1))
-        object.__setattr__(self, "c2", Scalar.coerce(self.c2))
-        object.__setattr__(self, "c3", Scalar.coerce(self.c3))
-        if not isinstance(self.inner, Element):
-            raise TypeError(f"inner must be an Element, not {type(self.inner).__name__}")
+    def __init__(
+        self, c1: Scalar = ZERO, c2: Scalar = ZERO, c3: Scalar = ZERO, inner: Element = ZERO_ELEMENT
+    ) -> None:
+        if not isinstance(inner, Element):
+            raise TypeError(f"inner must be an Element, not {type(inner).__name__}")
+        self._store(Scalar.coerce(c1), Scalar.coerce(c2), Scalar.coerce(c3), inner)
 
 
 def _outer_term(c1: Scalar, c2: Scalar, c3: Scalar, bv: BasisVector) -> tuple[BasisVector, Scalar]:
@@ -105,18 +101,17 @@ def apply_classified(deriv: ClassifiedDerivation, x: Element) -> Element:
     return _apply_outer(deriv.c1, deriv.c2, deriv.c3, x, bracket(deriv.inner, x))
 
 
-@dataclass(frozen=True, eq=False)
-class WindowMap:
+class WindowMap(Record):
     """Extensional linear map: one exact image per in-window basis vector."""
 
-    window: Window
-    images: Mapping[BasisVector, Element]
+    __slots__ = ("window", "images")
 
-    def __post_init__(self) -> None:
+    def __init__(self, window: Window, images: Mapping[BasisVector, Element]) -> None:
         # Count first, so a huge radius is rejected without enumerating its window.
-        count = 3 * (2 * self.window.radius + 1) + 1
-        if len(self.images) != count or set(self.images) != set(self.window.vectors()):
+        count = 3 * (2 * window.radius + 1) + 1
+        if len(images) != count or set(images) != set(window.vectors()):
             raise ValueError("window map must define exactly the in-window basis vectors")
+        self._store(window, images)
 
     @classmethod
     def from_function(cls, radius: int, fn: Callable[[BasisVector], Element]) -> "WindowMap":
@@ -237,7 +232,7 @@ def decompose(dmap: WindowMap) -> ClassifiedDerivation:
         outer = classify_degree0(rest)
     except DerivationError as exc:
         raise DerivationError(f"residual not in classified span: {exc}") from exc
-    return replace(outer, inner=z)
+    return outer.replace(inner=z)
 
 
 def outer_independence_kernel(

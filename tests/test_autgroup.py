@@ -1,6 +1,5 @@
 import importlib.util
 import re
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -389,12 +388,12 @@ def test_mapping_and_pairs_give_equal_params():
 
 def test_replace_checks_the_new_positions():
     p = AutomorphismParams(b={1: ONE}, c={2: ONE}, u=sc(2))
-    assert replace(p, b=p.b, c=p.c) == p
-    assert replace(p, b={1: ZERO}) == AutomorphismParams(c={2: ONE}, u=sc(2))
+    assert p.replace(b=p.b, c=p.c) == p
+    assert p.replace(b={1: ZERO}) == AutomorphismParams(c={2: ONE}, u=sc(2))
     with pytest.raises(ValueError, match="position 0 is forbidden"):
-        replace(p, b={0: ONE})
+        p.replace(b={0: ONE})
     with pytest.raises(TypeError, match="position must be an int"):
-        replace(p, c={"2": ONE})
+        p.replace(c={"2": ONE})
 
 
 @pytest.mark.parametrize("field, mapping", [("b", {1.5: 1}), ("b", {True: 1}), ("c", {"3": 1})])
@@ -511,7 +510,7 @@ def _inner(p):
 def _chain_merge(p, q):
     """(b, c) of xi_p + eta + [xi_p, eta]/2 by the operator chain, eta = tail_p(xi_q)."""
     xi_p = _inner(p)
-    eta = apply(replace(p, b={}, c={}), _inner(q))
+    eta = apply(p.replace(b={}, c={}), _inner(q))
     total = xi_p + eta + bracket(xi_p, eta) * sc(1, 2)
     b = {bv.index: cf for bv, cf in total.terms() if bv.kind == "Y"}
     return b, {bv.index: cf for bv, cf in total.terms() if bv.kind == "M" and bv.index}
@@ -523,7 +522,7 @@ def test_compose_merge_matches_its_operator_chain_and_stays_zero_free():
         p, q = random_params(rng), random_params(rng)
         # q_y's inner part is carried by p's tail onto minus the Y part of xi_p,
         # so that part cancels in the merge; invert(p) cancels all of it
-        pre = apply(invert(replace(p, b={}, c={})), Element([(Y(j), -cf) for j, cf in p.b.items()]))
+        pre = apply(invert(p.replace(b={}, c={})), Element([(Y(j), -cf) for j, cf in p.b.items()]))
         q_y = AutomorphismParams(
             b={bv.index: cf for bv, cf in pre._terms.items() if bv.kind == "Y"},
             c={bv.index: cf for bv, cf in pre._terms.items() if bv.kind == "M" and bv.index},

@@ -1,4 +1,5 @@
-"""Static checks on the package source, with the standard library's ast only.
+"""Static checks on the package source, with the standard library's ast only,
+and one structural start-up check in a fresh interpreter.
 
 - every imported name is used in its module (``__init__.py`` re-exports and
   ``from __future__`` imports are exempt);
@@ -8,12 +9,17 @@
   engine (``scalar`` to ``autgroup``) never reaches the reader of outside input;
 - at most ``MAX_PRIVATE_IMPORTS`` private names are imported across modules;
 - every module parses with the grammar of the oldest supported Python,
-  ``requires-python = ">=3.10"`` in pyproject.toml.
+  ``requires-python = ">=3.10"`` in pyproject.toml;
+- importing ``svlie.cli`` and ``svlie.verify`` in a fresh interpreter loads none
+  of ``HEAVY_STDLIB`` (``dataclasses`` pulls in the other four).
 
 Import checks read relative imports and absolute ones of ``svlie.<module>`` alike.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +31,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 LAYERS = ("scalar", "algebra", "derivations", "autgroup", "expr", "verify", "cli")
 MAX_PRIVATE_IMPORTS = 7
 OLDEST_PYTHON = (3, 10)
+HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -142,3 +149,14 @@ def test_few_private_names_cross_modules():
 def test_every_module_parses_on_the_oldest_supported_python(path):
     # syntax newer than OLDEST_PYTHON (``except*``, for one) is a SyntaxError here
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_importing_the_engine_loads_no_heavy_stdlib_module():
+    # a structural start-up check: which modules the import adds, not how long it takes
+    probe = (
+        "import sys; before = set(sys.modules); import svlie.cli, svlie.verify; "
+        f"print(sorted(set({HEAVY_STDLIB!r}) & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", f"importing svlie loads {done.stdout.strip()}"

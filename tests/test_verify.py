@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -310,7 +309,7 @@ def test_classify_roundtrip_failure_prints_the_fit_and_its_source(monkeypatch):
 
     def off_by_one(wmap):
         fitted = derivations.classify_degree0(wmap)
-        fits.append((replace(fitted, c1=fitted.c1 + ONE), fitted))
+        fits.append((fitted.replace(c1=fitted.c1 + ONE), fitted))
         return fits[-1][0]
 
     monkeypatch.setattr(verify, "classify_degree0", off_by_one)
@@ -342,7 +341,7 @@ _FIXED = AutomorphismParams(b={1: ONE}, c={-2: ONE}, u=Scalar(3), w=Scalar(2), a
 def _shifted_gamma(real):
     def patched(p, q):
         r = real(p, q)
-        return replace(r, gamma=r.gamma + ONE)
+        return r.replace(gamma=r.gamma + ONE)
 
     return patched
 
@@ -414,7 +413,7 @@ def test_lemma36_failure_prints_pairs_and_each_disagreeing_component(monkeypatch
 
     def wrong_oracle(p, q, radius):
         r = real(p, q)
-        return replace(r, i=1 - r.i, b={**dict(r.b.items()), 9: ONE}, c={**dict(r.c.items()), 9: ONE})
+        return r.replace(i=1 - r.i, b={**dict(r.b.items()), 9: ONE}, c={**dict(r.c.items()), 9: ONE})
 
     monkeypatch.setattr(verify, "compose_oracle", wrong_oracle)
     report = run_suite("lemma36-verdict", radius=1, cases=1)
