@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalar import LinearSystem, ONE, Scalar, ZERO, add_product, format_scalar, nullspace
+from .scalar import LinearSystem, ONE, Scalar, ZERO, add_product, format_scalar, nullspace, reduce_row
 
 __all__ = [
     "Record",
@@ -430,30 +430,44 @@ def _normalized(e: Element) -> Element:
     return e if lead == ONE else e * lead.inverse()
 
 
-def _constraint_system(cols, constraints) -> LinearSystem:
-    """Columns keyed by ``cols``, in order; each ``(test, col, terms)`` adds
-    every pair ``(v, cf)`` of the iterable ``terms`` at row ``(test, v)``,
-    column ``col``."""
+def _graded_system(cols, degrees, tests) -> LinearSystem:
+    """The rows of ``tests`` over ``cols``, of degrees ``degrees``, read one degree at a time.
+
+    ``tests(d, block)`` yields ``(test, shift, constraints)`` for the columns ``block``
+    of degree ``d``: each ``(col, terms)`` adds every ``(v, cf)`` of ``terms`` at row
+    ``(test, v)``, column ``col``; ``v`` must lie in degree ``d + shift`` (else ValueError).
+    Each test's rows are reduced into the pivots of ``d`` once complete, and ``d`` reads
+    no more tests once its rank is full, so the rows read span the row space of all."""
     index = {col: i for i, col in enumerate(cols)}
     system = LinearSystem(len(index))
     add = system.add
-    for test, col, terms in constraints:
-        i = index[col]
-        for v, cf in terms:
-            add((test, v), i, cf)
+    for d in sorted(set(degrees)):
+        block = [col for col, e in zip(cols, degrees) if e == d]
+        pivots: dict[int, dict[int, Scalar]] = {}
+        for test, shift, constraints in tests(d, block):
+            if len(pivots) == len(block):
+                break
+            target, touched = d + shift, {}
+            for col, terms in constraints:
+                i = index[col]
+                for v, cf in terms:
+                    if v.degree != target:
+                        raise ValueError(f"ungraded entry {v} in test {test}: expected degree {target}")
+                    add((test, v), i, cf)
+                    touched[v] = None
+            for v in touched:
+                reduce_row(pivots, system.row((test, v)))
     return system
 
 
 def centralizer_window(window: Window) -> list[Element]:
     """Exact basis of the in-window vectors commuting with every in-window generator."""
     gens = window.vectors()
-    # a zero bracket adds no entry, so the pair yields no constraint
-    constraints = (
-        (g, bv, terms.items())
-        for bv in gens
-        for g in gens
-        if (terms := bracket_basis(bv, g)._terms)
-    )
-    system = _constraint_system(gens, constraints)
+
+    def tests(d, block):
+        for g in gens:
+            yield g, g.degree, ((bv, bracket_basis(bv, g)._terms.items()) for bv in block)
+
+    system = _graded_system(gens, [bv.degree for bv in gens], tests)
     basis = [_normalized(Element(zip(gens, vec))) for vec in nullspace(system)]
     return sorted(basis, key=lambda e: e.terms()[0][0].sort_key())

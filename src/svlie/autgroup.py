@@ -120,6 +120,10 @@ class AutomorphismParams(Record):
             raise ValueError("u and w must be nonzero")
         self._store(b, c, i, u, w, Scalar.coerce(alpha), Scalar.coerce(beta), Scalar.coerce(gamma))
 
+    def __reduce__(self):  # a mappingproxy does not pickle; __init__ makes plain b and c read-only
+        b, c, *rest = self._values
+        return (AutomorphismParams, (dict(b), dict(c), *rest))
+
 
 def identity() -> AutomorphismParams:
     return AutomorphismParams()

@@ -7,9 +7,9 @@ outer rules act by
     R3: Y[n] -> Y[n], M[n] -> 2 M[n]
 
 and everything kills C.  The oracles below build exact linear systems over
-window-bounded unknowns with the one assembler ``algebra._constraint_system``,
-whose rows are keyed ``(test, basis vector)``, and solve them with the exact
-kernel solver.
+window-bounded unknowns with the one assembler ``algebra._graded_system``,
+whose rows are keyed ``(test, basis vector)`` and read one degree at a time,
+and solve them with the exact kernel solver.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .algebra import (
     Y,
     ZERO_ELEMENT,
     _add_into,
-    _constraint_system,
+    _graded_system,
     bracket,
     bracket_basis,
     single,
@@ -111,23 +111,20 @@ class WindowMap(Record):
         count = 3 * (2 * window.radius + 1) + 1
         if len(images) != count or set(images) != set(window.vectors()):
             raise ValueError("window map must define exactly the in-window basis vectors")
-        self._store(window, images)
+        self._store(window, dict(images))  # its own copy: the caller's mapping may change
 
     @classmethod
     def from_function(cls, radius: int, fn: Callable[[BasisVector], Element]) -> "WindowMap":
         window = Window(radius)
-        return cls(window, {bv: fn(bv) for bv in window.vectors()})
+        out = object.__new__(cls)
+        out._store(window, {bv: fn(bv) for bv in window.vectors()})  # fresh and exact: no check, no copy
+        return out
 
     def image(self, bv: BasisVector) -> Element:
         try:
             return self.images[bv]
         except KeyError:
             raise ValueError(f"generator outside window: {bv}") from None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WindowMap):
-            return NotImplemented
-        return self.window == other.window and dict(self.images) == dict(other.images)
 
 
 def classified_window_map(deriv: ClassifiedDerivation, radius: int) -> WindowMap:
@@ -247,16 +244,17 @@ def outer_independence_kernel(
     gens = window.vectors()
     units = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
 
-    def constraints():
-        for g in gens:
-            for unit in units:
-                yield g, unit, (_outer_term(*unit, g),)
-            for z in gens:
-                # a zero bracket adds no entry, so the pair yields no constraint
-                if terms := bracket_basis(z, g)._terms:
-                    yield g, z, ((v, -cf) for v, cf in terms.items())
+    def terms(col, g):
+        if col in units:
+            return (_outer_term(*col, g),)
+        return ((v, -cf) for v, cf in bracket_basis(col, g)._terms.items())
 
-    kernel = nullspace(_constraint_system((*units, *gens), constraints()))
+    def tests(d, block):
+        for g in gens:
+            yield g, g.degree, ((col, terms(col, g)) for col in block)
+
+    # the rule columns have degree 0, the column of z its degree
+    kernel = nullspace(_graded_system((*units, *gens), [0, 0, 0, *(g.degree for g in gens)], tests))
     return [(vec[0], vec[1], vec[2], Element(zip(gens, vec[3:]))) for vec in kernel]
 
 
@@ -276,19 +274,21 @@ def equivariant_hom_nullity(window: Window) -> int:
     ls = [L(k) for k in span]
     targets = (*ls, C)
 
-    def constraints():
+    def tests(shift, block):
+        at: dict[BasisVector, list[BasisVector]] = {}  # Y[n] -> each t of a column (Y[n], t) in block
+        for yn, t in block:
+            at.setdefault(yn, []).append(t)
         for m in span:
             for n in span:
                 if abs(m + n) > radius:
                     continue
-                test, lm, yn, ymn = (m, n), L(m), Y(n), Y(m + n)
-                for lk in ls:
-                    yield test, (yn, lk), bracket_basis(lm, lk)._terms.items()
-                action = bracket_basis(lm, yn).coeff(ymn)
-                if action:
-                    neg = -action
-                    for t in targets:
-                        yield test, (ymn, t), ((t, neg),)
+                lm, yn, ymn = L(m), Y(n), Y(m + n)
+                neg = -bracket_basis(lm, yn).coeff(ymn)
+                yield (m, n), m + n, [
+                    *(((yn, t), bracket_basis(lm, t)._terms.items()) for t in at.get(yn, ())),
+                    *(((ymn, t), ((t, neg),)) for t in at.get(ymn, ()) if neg),
+                ]
 
+    # the column (Y[n], t) shifts degrees by deg t - n
     cols = [(Y(n), t) for n in span for t in targets]
-    return len(nullspace(_constraint_system(cols, constraints())))
+    return len(nullspace(_graded_system(cols, [t.degree - yn.index for yn, t in cols], tests)))

@@ -31,6 +31,7 @@ __all__ = [
     "scan_scalar",
     "scan_simple_scalar",
     "nullspace",
+    "reduce_row",
     "add_product",
 ]
 
@@ -478,25 +479,51 @@ class LinearSystem:
             if not row:
                 del self._rows[row_key]
 
+    def row(self, row_key) -> dict[int, Scalar]:
+        """The nonzero entries of row ``row_key`` as ``{col: cf}``, copied."""
+        return dict(self._rows.get(row_key, ()))
+
     def items(self):
         """Each nonzero row as ``(row_key, {col: cf})``, copied."""
         for key, row in self._rows.items():
             yield key, dict(row)
 
 
+def reduce_row(pivots: dict[int, dict[int, Scalar]], row: dict[int, Scalar]) -> None:
+    """Reduce ``row`` (consumed) against ``pivots``, each pivot column's row right of its pivot 1;
+    unless it vanishes, it becomes the pivot row of its lead (lowest) column, scaled to lead with 1."""
+    while row:
+        lead = min(row)
+        factor = row.pop(lead)
+        tail = pivots.get(lead)
+        if tail is None:
+            if factor != ONE:
+                inv = factor.inverse()
+                row = {c: cf * inv for c, cf in row.items()}
+            pivots[lead] = row
+            return
+        for c, cf in tail.items():
+            prev = row.get(c)
+            if prev is None:
+                row[c] = -(factor * cf)
+            else:
+                total = prev - factor * cf
+                if total:
+                    row[c] = total
+                else:
+                    del row[c]
+
+
 def nullspace(system: LinearSystem) -> list[list[Scalar]]:
     """Exact basis of the kernel of ``system``; empty list iff the kernel is trivial.
 
-    Sparse Gaussian elimination: each row in turn is reduced by its leading
-    (lowest) column against the pivot rows until it vanishes or leads with
-    a column that has no pivot yet, where it becomes the pivot row of that
-    column.  Back-substitution then gives one vector per free column, with
-    1 on that column and 0 on the other free columns.  That basis depends
+    Sparse Gaussian elimination: ``reduce_row`` reduces each row in turn into
+    the pivot rows.  Back-substitution then gives one vector per free column,
+    with 1 on that column and 0 on the other free columns.  That basis depends
     only on the row space, so row order, duplicate rows and scaled rows do
     not change it.  ``system`` is left unchanged.
     """
     cols = system.cols
-    # pivot column -> entries of its pivot row right of the pivot, which is 1
     pivots: dict[int, dict[int, Scalar]] = {}
     for stored in system._rows.values():
         if len(pivots) == cols:
@@ -505,27 +532,7 @@ def nullspace(system: LinearSystem) -> list[list[Scalar]]:
             (lead,) = stored
             if lead in pivots and not pivots[lead]:
                 continue  # one entry on a column whose pivot row is empty reduces to zero
-        row = dict(stored)
-        while row:
-            lead = min(row)
-            factor = row.pop(lead)
-            tail = pivots.get(lead)
-            if tail is None:
-                if factor != ONE:
-                    inv = factor.inverse()
-                    row = {c: cf * inv for c, cf in row.items()}
-                pivots[lead] = row
-                break
-            for c, cf in tail.items():
-                prev = row.get(c)
-                if prev is None:
-                    row[c] = -(factor * cf)
-                else:
-                    total = prev - factor * cf
-                    if total:
-                        row[c] = total
-                    else:
-                        del row[c]
+        reduce_row(pivots, dict(stored))
     descending = sorted(pivots, reverse=True)
     basis: list[list[Scalar]] = []
     for free in range(cols):

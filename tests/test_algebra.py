@@ -218,6 +218,15 @@ def test_exp_ad_is_a_homomorphism():
                 assert lhs == bracket(images[a], images[b])
 
 
+def test_the_bracket_table_is_graded():
+    # the exact kernel systems are solved one degree at a time, which needs this
+    gens = Window(8).vectors()
+    for a in gens:
+        for b in gens:
+            for v in bracket_basis(a, b).support():
+                assert v.degree == a.degree + b.degree, (a, b, v)
+
+
 def test_centralizer_windows():
     expected = [single(M(0)), single(C)]
     for radius in (3, 6):

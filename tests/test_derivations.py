@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from svlie import algebra, derivations, scalar
-from svlie.algebra import C, Element, L, M, Window, Y, bracket, centralizer_window, single
+from svlie.algebra import C, Element, L, M, Window, Y, bracket, bracket_basis, centralizer_window, single
 from svlie.derivations import (
     ClassifiedDerivation,
     DerivationError,
@@ -17,7 +17,7 @@ from svlie.derivations import (
     outer_independence_kernel,
 )
 from svlie.expr import classified_from_json, classified_to_json, window_map_from_json, window_map_to_json
-from svlie.scalar import ONE, Scalar, ZERO
+from svlie.scalar import LinearSystem, ONE, Scalar, ZERO
 from svlie.verify import SplitMix64, random_classified, random_degree0, random_element
 
 RULE1 = ClassifiedDerivation(c1=ONE)
@@ -261,11 +261,11 @@ def test_hom_nullity_needs_radius_2():
 @pytest.mark.parametrize(
     "radius, centralizer, outer, hom",
     [
-        (2, (126, 16, 126, 14), (133, 19, 145, 17), (122, 30, 170, 30)),
-        (3, (264, 22, 264, 20), (273, 25, 291, 23), (322, 56, 470, 56)),
-        (4, (446, 28, 446, 26), (457, 31, 481, 29), (692, 90, 1032, 90)),
-        (8, (1662, 52, 1662, 50), (1681, 55, 1729, 53), (4604, 306, 7184, 306)),
-        (16, (6398, 100, 6398, 98), None, None),
+        (2, (36, 16, 36, 14), (43, 19, 55, 17), (38, 30, 55, 30)),
+        (3, (51, 22, 51, 20), (60, 25, 78, 23), (78, 56, 118, 56)),
+        (4, (69, 28, 69, 26), (80, 31, 104, 29), (141, 90, 217, 90)),
+        (8, (133, 52, 133, 50), (152, 55, 200, 53), (649, 306, 1010, 306)),
+        (16, (261, 100, 261, 98), None, None),
     ],
 )
 def test_kernel_systems_keep_their_shapes(monkeypatch, radius, centralizer, outer, hom):
@@ -292,6 +292,92 @@ def test_kernel_systems_keep_their_shapes(monkeypatch, radius, centralizer, oute
             build(Window(radius))
             expected.append(shape)
     assert shapes == expected
+
+
+def _graded_systems(monkeypatch, build, radius):
+    """The system ``build`` hands to ``nullspace`` at ``radius``."""
+    captured = []
+
+    def recording(system):
+        captured.append(system)
+        return scalar.nullspace(system)
+
+    monkeypatch.setattr(algebra, "nullspace", recording)
+    monkeypatch.setattr(derivations, "nullspace", recording)
+    build(Window(radius))
+    (system,) = captured
+    return system
+
+
+def _full_system(cols, constraints):
+    """Every ``(test, col, terms)`` adds each ``(v, cf)`` of ``terms`` at row ``(test, v)``."""
+    index = {col: i for i, col in enumerate(cols)}
+    system = LinearSystem(len(cols))
+    for test, col, terms in constraints:
+        for v, cf in terms:
+            system.add((test, v), index[col], cf)
+    return system
+
+
+def _full_centralizer(radius):
+    gens = Window(radius).vectors()
+    return _full_system(gens, ((g, bv, bracket_basis(bv, g).terms()) for bv in gens for g in gens))
+
+
+def _full_outer(radius):
+    gens = Window(radius).vectors()
+    rules = (RULE1, RULE2, RULE3)
+    constraints = [
+        *((g, rule, apply_classified(rule, single(g)).terms()) for g in gens for rule in rules),
+        *((g, z, (-bracket_basis(z, g)).terms()) for g in gens for z in gens),
+    ]
+    return _full_system((*rules, *gens), constraints)
+
+
+def _full_hom(radius):
+    span = range(-radius, radius + 1)
+    targets = (*(L(k) for k in span), C)
+    constraints = []
+    for m in span:
+        for n in span:
+            if abs(m + n) <= radius:
+                action = bracket_basis(L(m), Y(n)).coeff(Y(m + n))
+                constraints += [((m, n), (Y(n), t), bracket_basis(L(m), t).terms()) for t in targets]
+                constraints += [((m, n), (Y(m + n), t), [(t, -action)]) for t in targets]
+    return _full_system([(Y(n), t) for n in span for t in targets], constraints)
+
+
+@pytest.mark.parametrize(
+    "build, full, radius",
+    [
+        *((centralizer_window, _full_centralizer, r) for r in range(1, 9)),
+        *((outer_independence_kernel, _full_outer, r) for r in range(1, 9)),
+        *((equivariant_hom_nullity, _full_hom, r) for r in range(2, 7)),
+    ],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+def test_graded_kernels_match_the_full_systems(monkeypatch, build, full, radius):
+    """The graded assembler reads whole rows of the full system, fewer of them,
+    with the same kernel basis, vector by vector."""
+    graded, whole = _graded_systems(monkeypatch, build, radius), full(radius)
+    assert graded.cols == whole.cols and graded.rows <= whole.rows
+    for key, row in graded.items():
+        assert row == whole.row(key), key
+    assert scalar.nullspace(graded) == scalar.nullspace(whole)
+
+
+@pytest.mark.parametrize("build", [centralizer_window, outer_independence_kernel, equivariant_hom_nullity])
+def test_an_ungraded_bracket_entry_is_refused(monkeypatch, build):
+    # [L[-2], L[-1]] lies in degree -3; each system reads this entry at radius 2
+    original = algebra.bracket_basis
+
+    def ungraded(a, b):
+        return single(M(0)) if (a, b) == (L(-2), L(-1)) else original(a, b)
+
+    monkeypatch.setattr(algebra, "bracket_basis", ungraded)
+    monkeypatch.setattr(derivations, "bracket_basis", ungraded)
+    with pytest.raises(ValueError, match=r"^ungraded entry M\[0\] in test .+: expected degree -3$"):
+        build(Window(2))
 
 
 def test_window_map_json_roundtrip():

@@ -133,7 +133,7 @@ def test_each_module_imports_only_earlier_layers(name):
 
 def test_few_private_names_cross_modules():
     """The seven: autgroup imports ``_apply_outer`` and ``_bracket_violations`` from
-    derivations; derivations imports ``_add_into`` and ``_constraint_system`` from
+    derivations; derivations imports ``_add_into`` and ``_graded_system`` from
     algebra; expr imports ``_MAX_TERMS`` from algebra and ``_digit_run`` and
     ``_skip_ws`` from scalar."""
     crossing = sorted(

@@ -2,18 +2,19 @@
 
 ``Window``, ``ClassifiedDerivation``, ``AutomorphismParams`` and ``WindowMap``
 were frozen dataclasses; as slotted records they keep the dataclass repr
-(failure witnesses embed it), equality, the same hashability, immutability,
-and the same ``copy``, ``deepcopy`` and ``pickle`` outcomes.  ``replace``
-goes back through ``__init__``, so every check runs again.
+(failure witnesses embed it), equality, the same hashability and
+immutability, and all four can be copied, deep-copied and pickled.
+``replace`` goes back through ``__init__``, so every check runs again.
 """
 
 import copy
 import pickle
 from dataclasses import make_dataclass
+from types import MappingProxyType
 
 import pytest
 
-from svlie.algebra import Element, L, M, Window, Y, single
+from svlie.algebra import C, Element, L, M, Window, Y, single
 from svlie.autgroup import AutomorphismParams
 from svlie.derivations import ClassifiedDerivation, WindowMap
 from svlie.scalar import ONE, Scalar, ZERO
@@ -35,12 +36,12 @@ def _window_map():
     return WindowMap.from_function(1, lambda bv: single(bv) * 2)
 
 
-# (make an instance, its fields in order, hashable, deepcopy and pickle work)
+# (make an instance, its fields in order, hashable)
 CASES = {
-    "Window": (lambda: Window(3), ("radius",), True, True),
-    "ClassifiedDerivation": (_deriv, ("c1", "c2", "c3", "inner"), True, True),
-    "AutomorphismParams": (_params, ("b", "c", "i", "u", "w", "alpha", "beta", "gamma"), False, False),
-    "WindowMap": (_window_map, ("window", "images"), False, True),
+    "Window": (lambda: Window(3), ("radius",), True),
+    "ClassifiedDerivation": (_deriv, ("c1", "c2", "c3", "inner"), True),
+    "AutomorphismParams": (_params, ("b", "c", "i", "u", "w", "alpha", "beta", "gamma"), False),
+    "WindowMap": (_window_map, ("window", "images"), False),
 }
 
 
@@ -50,12 +51,11 @@ def _values(x, fields):
 
 @pytest.fixture(params=sorted(CASES))
 def case(request):
-    make, fields, hashable, deep = CASES[request.param]
-    return make, fields, hashable, deep
+    return CASES[request.param]
 
 
 def test_repr_is_the_dataclass_repr(case):
-    make, fields, _, _ = case
+    make, fields, _ = case
     x = make()
     reference = make_dataclass(type(x).__name__, fields, frozen=True)
     assert repr(x) == repr(reference(*_values(x, fields)))
@@ -72,7 +72,7 @@ def test_default_reprs_are_the_dataclass_reprs():
 
 
 def test_positional_and_keyword_arguments_agree(case):
-    make, fields, _, _ = case
+    make, fields, _ = case
     x = make()
     values = _values(x, fields)
     assert type(x)(*values) == x
@@ -89,7 +89,7 @@ def test_defaults_are_the_dataclass_defaults():
 
 
 def test_fields_cannot_be_assigned_or_deleted(case):
-    make, fields, _, _ = case
+    make, fields, _ = case
     x = make()
     before = repr(x)
     for name in (*fields, "extra"):
@@ -102,7 +102,7 @@ def test_fields_cannot_be_assigned_or_deleted(case):
 
 
 def test_equality_and_hash(case):
-    make, fields, hashable, _ = case
+    make, fields, hashable = case
     x, y = make(), make()
     assert x == y and not (x != y)
     assert x != 5 and not (x == 5)
@@ -126,21 +126,31 @@ def test_unequal_when_one_field_differs():
 
 
 def test_copy_deepcopy_and_pickle(case):
-    make, _, _, deep = case
+    make, _, _ = case
     x = make()
-    assert copy.copy(x) == x
-    for clone in (copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-        if deep:
-            y = clone(x)
-            assert type(y) is type(x) and y == x
-        else:
-            # the read-only position maps are mappingproxy objects, which neither copies deeply nor pickles
-            with pytest.raises(TypeError, match="mappingproxy"):
-                clone(x)
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        y = clone(x)
+        assert type(y) is type(x) and y == x
+
+
+def test_copied_params_keep_read_only_position_maps():
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        y = clone(_params())
+        assert isinstance(y.b, MappingProxyType) and isinstance(y.c, MappingProxyType)
+        assert dict(y.b) == {-2: Scalar(3), 1: ONE} and list(y.b) == [-2, 1]
+
+
+def test_a_window_map_keeps_its_own_images():
+    images = dict(_window_map().images)
+    m = WindowMap(Window(1), images)
+    images.pop(L(0))
+    images[M(0)] = single(C)
+    assert m == _window_map() and len(m.images) == 10
+    assert m.image(L(0)) == single(L(0)) * 2 and m.image(M(0)) == single(M(0)) * 2
 
 
 def test_replace_changes_only_the_named_fields(case):
-    make, fields, _, _ = case
+    make, fields, _ = case
     x = make()
     assert x.replace() == x
     with pytest.raises(TypeError):
