@@ -406,6 +406,9 @@ class Window(Record):
     __slots__ = ("radius",)
 
     def __init__(self, radius: int) -> None:
+        # True == 1 and 2.0 == 2 would pass the bound and share an int's hash
+        if radius.__class__ is not int:
+            raise TypeError(f"window radius must be an int, not {radius!r}")
         if radius < 1:
             raise ValueError("window radius must be at least 1")
         self._store(radius)
@@ -418,8 +421,7 @@ class Window(Record):
         return all(abs(bv.index) <= self.radius for bv in x._terms)
 
 
-# typed: an equal float radius misses the int's entry and fails in range()
-@functools.lru_cache(maxsize=16, typed=True)
+@functools.lru_cache(maxsize=16)
 def _window_vectors(radius: int) -> tuple[BasisVector, ...]:
     span = range(-radius, radius + 1)
     return (*(BasisVector(kind, n) for kind in ("L", "Y", "M") for n in span), C)
@@ -431,32 +433,44 @@ def _normalized(e: Element) -> Element:
 
 
 def _graded_system(cols, degrees, tests) -> LinearSystem:
-    """The rows of ``tests`` over ``cols``, of degrees ``degrees``, read one degree at a time.
+    """The pivot rows of ``tests`` over ``cols``, of degrees ``degrees``, read one degree at a time.
 
     ``tests(d, block)`` yields ``(test, shift, constraints)`` for the columns ``block``
     of degree ``d``: each ``(col, terms)`` adds every ``(v, cf)`` of ``terms`` at row
     ``(test, v)``, column ``col``; ``v`` must lie in degree ``d + shift`` (else ValueError).
-    Each test's rows are reduced into the pivots of ``d`` once complete, and ``d`` reads
-    no more tests once its rank is full, so the rows read span the row space of all."""
+    Each test's rows are reduced into the pivots once complete, and ``d`` reads no more
+    tests once its rank is full.  The system returned holds each pivot row, keyed by its
+    lead column with the lead 1 restored: it spans the row space of every test."""
     index = {col: i for i, col in enumerate(cols)}
-    system = LinearSystem(len(index))
-    add = system.add
-    for d in sorted(set(degrees)):
-        block = [col for col, e in zip(cols, degrees) if e == d]
-        pivots: dict[int, dict[int, Scalar]] = {}
+    blocks: dict[int, list] = {}
+    for col, d in zip(cols, degrees):
+        blocks.setdefault(d, []).append(col)
+    pivots: dict[int, dict[int, Scalar]] = {}  # columns of different degrees never share a lead
+    for d in sorted(blocks):
+        block = blocks[d]
+        full = len(pivots) + len(block)
         for test, shift, constraints in tests(d, block):
-            if len(pivots) == len(block):
+            if len(pivots) == full:
                 break
-            target, touched = d + shift, {}
+            target, rows = d + shift, {}
             for col, terms in constraints:
                 i = index[col]
                 for v, cf in terms:
                     if v.degree != target:
                         raise ValueError(f"ungraded entry {v} in test {test}: expected degree {target}")
-                    add((test, v), i, cf)
-                    touched[v] = None
-            for v in touched:
-                reduce_row(pivots, system.row((test, v)))
+                    row = rows.setdefault(v, {})
+                    prev = row.get(i)
+                    total = cf if prev is None else prev + cf
+                    if total:
+                        row[i] = total
+                    elif prev is not None:
+                        del row[i]
+            for row in rows.values():
+                reduce_row(pivots, row)
+    system = LinearSystem(len(index))
+    for lead, tail in pivots.items():
+        for c, cf in {lead: ONE, **tail}.items():
+            system.add(lead, c, cf)
     return system
 
 

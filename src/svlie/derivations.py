@@ -271,7 +271,7 @@ def equivariant_hom_nullity(window: Window) -> int:
     if radius < HOM_RADIUS:
         raise ValueError(f"equivariant_hom_nullity needs window radius >= {HOM_RADIUS}")
     span = range(-radius, radius + 1)
-    ls = [L(k) for k in span]
+    ls, ys = [L(k) for k in span], [Y(k) for k in span]  # L[k] is ls[k + radius]
     targets = (*ls, C)
 
     def tests(shift, block):
@@ -279,15 +279,18 @@ def equivariant_hom_nullity(window: Window) -> int:
         for yn, t in block:
             at.setdefault(yn, []).append(t)
         for m in span:
-            for n in span:
-                if abs(m + n) > radius:
+            lm = ls[m + radius]
+            for n in range(max(-radius, -radius - m), min(radius, radius - m) + 1):
+                yn, ymn = ys[n + radius], ys[m + n + radius]
+                direct, images = at.get(yn, ()), at.get(ymn, ())
+                if not (direct or images):
                     continue
-                lm, yn, ymn = L(m), Y(n), Y(m + n)
-                neg = -bracket_basis(lm, yn).coeff(ymn)
-                yield (m, n), m + n, [
-                    *(((yn, t), bracket_basis(lm, t)._terms.items()) for t in at.get(yn, ())),
-                    *(((ymn, t), ((t, neg),)) for t in at.get(ymn, ()) if neg),
-                ]
+                constraints = [((yn, t), bracket_basis(lm, t)._terms.items()) for t in direct]
+                if images:
+                    neg = -bracket_basis(lm, yn).coeff(ymn)
+                    if neg:
+                        constraints += [((ymn, t), ((t, neg),)) for t in images]
+                yield (m, n), m + n, constraints
 
     # the column (Y[n], t) shifts degrees by deg t - n
     cols = [(Y(n), t) for n in span for t in targets]

@@ -479,10 +479,6 @@ class LinearSystem:
             if not row:
                 del self._rows[row_key]
 
-    def row(self, row_key) -> dict[int, Scalar]:
-        """The nonzero entries of row ``row_key`` as ``{col: cf}``, copied."""
-        return dict(self._rows.get(row_key, ()))
-
     def items(self):
         """Each nonzero row as ``(row_key, {col: cf})``, copied."""
         for key, row in self._rows.items():
@@ -518,10 +514,12 @@ def nullspace(system: LinearSystem) -> list[list[Scalar]]:
     """Exact basis of the kernel of ``system``; empty list iff the kernel is trivial.
 
     Sparse Gaussian elimination: ``reduce_row`` reduces each row in turn into
-    the pivot rows.  Back-substitution then gives one vector per free column,
-    with 1 on that column and 0 on the other free columns.  That basis depends
-    only on the row space, so row order, duplicate rows and scaled rows do
-    not change it.  ``system`` is left unchanged.
+    the pivot rows; a row already in echelon form, its lead 1 on a new column,
+    becomes a pivot row with no arithmetic, so the graded assembler's pivot
+    rows are only back-substituted.  Back-substitution gives one vector per
+    free column, with 1 on that column and 0 on the other free columns.  That
+    basis depends only on the row space, so row order, duplicate rows and
+    scaled rows do not change it.  ``system`` is left unchanged.
     """
     cols = system.cols
     pivots: dict[int, dict[int, Scalar]] = {}

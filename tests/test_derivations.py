@@ -261,17 +261,18 @@ def test_hom_nullity_needs_radius_2():
 @pytest.mark.parametrize(
     "radius, centralizer, outer, hom",
     [
-        (2, (36, 16, 36, 14), (43, 19, 55, 17), (38, 30, 55, 30)),
-        (3, (51, 22, 51, 20), (60, 25, 78, 23), (78, 56, 118, 56)),
-        (4, (69, 28, 69, 26), (80, 31, 104, 29), (141, 90, 217, 90)),
-        (8, (133, 52, 133, 50), (152, 55, 200, 53), (649, 306, 1010, 306)),
-        (16, (261, 100, 261, 98), None, None),
+        (2, (14, 16, 14, 14), (17, 19, 19, 17), (30, 30, 42, 30)),
+        (3, (20, 22, 20, 20), (23, 25, 25, 23), (56, 56, 76, 56)),
+        (4, (26, 28, 26, 26), (29, 31, 31, 29), (90, 90, 122, 90)),
+        (8, (50, 52, 50, 50), (53, 55, 55, 53), (306, 306, 402, 306)),
+        (16, (98, 100, 98, 98), None, None),
     ],
 )
 def test_kernel_systems_keep_their_shapes(monkeypatch, radius, centralizer, outer, hom):
-    """(rows, cols, stored entries, rank) of each assembled system: a kernel
-    of 0 or a centralizer basis survives an extra row or entry, so only the
-    shape shows one.  A system pinned as None is not built at that radius."""
+    """(rows, cols, stored entries, rank) of each system handed to
+    ``nullspace``: its pivot rows, so rows equal the rank.  A kernel of 0 or
+    a centralizer basis survives an extra row or entry, so only the shape
+    shows one.  A system pinned as None is not built at that radius."""
     shapes = []
 
     def recording(system):
@@ -357,13 +358,27 @@ def _full_hom(radius):
     ids=lambda p: getattr(p, "__name__", p),
 )
 def test_graded_kernels_match_the_full_systems(monkeypatch, build, full, radius):
-    """The graded assembler reads whole rows of the full system, fewer of them,
-    with the same kernel basis, vector by vector."""
+    """The graded assembler hands on echelon pivot rows, as many as the full
+    system's rank and each in its row space, with the same kernel basis,
+    vector by vector."""
     graded, whole = _graded_systems(monkeypatch, build, radius), full(radius)
-    assert graded.cols == whole.cols and graded.rows <= whole.rows
+    kernel = scalar.nullspace(whole)
+    rank = whole.cols - len(kernel)
+    assert graded.cols == whole.cols and graded.rows == rank
+    leads = []
     for key, row in graded.items():
-        assert row == whole.row(key), key
-    assert scalar.nullspace(graded) == scalar.nullspace(whole)
+        assert key == min(row) and row[key] == ONE, key
+        leads.append(key)
+    assert len(set(leads)) == len(leads)
+    # the full system's pivots: appending a row keeps its rank iff the row reduces to zero
+    pivots = {}
+    for _, row in whole.items():
+        scalar.reduce_row(pivots, row)
+    assert len(pivots) == rank
+    for key, row in graded.items():
+        scalar.reduce_row(pivots, row)
+        assert len(pivots) == rank, key
+    assert scalar.nullspace(graded) == kernel
 
 
 @pytest.mark.parametrize("build", [centralizer_window, outer_independence_kernel, equivariant_hom_nullity])

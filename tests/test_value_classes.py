@@ -160,6 +160,15 @@ def test_replace_changes_only_the_named_fields(case):
     assert Window(3).replace(radius=5) == Window(5)
 
 
+@pytest.mark.parametrize("radius", [True, 2.0, "2", None])
+def test_a_window_radius_must_be_an_int(radius):
+    # True == 1 and 2.0 == 2: either would equal and hash like an int window
+    with pytest.raises(TypeError, match=r"^window radius must be an int, not "):
+        Window(radius)
+    with pytest.raises(TypeError, match=r"^window radius must be an int, not "):
+        Window(3).replace(radius=radius)
+
+
 def test_replace_runs_every_check_again():
     with pytest.raises(ValueError, match="radius must be at least 1"):
         Window(3).replace(radius=0)
