@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalar import LinearSystem, ONE, Scalar, ZERO, add_product, format_scalar, nullspace, reduce_row
+from .scalar import ONE, Scalar, ZERO, add_product, format_scalar, graded_system, nullspace
 
 __all__ = [
     "Record",
@@ -432,48 +432,6 @@ def _normalized(e: Element) -> Element:
     return e if lead == ONE else e * lead.inverse()
 
 
-def _graded_system(cols, degrees, tests) -> LinearSystem:
-    """The pivot rows of ``tests`` over ``cols``, of degrees ``degrees``, read one degree at a time.
-
-    ``tests(d, block)`` yields ``(test, shift, constraints)`` for the columns ``block``
-    of degree ``d``: each ``(col, terms)`` adds every ``(v, cf)`` of ``terms`` at row
-    ``(test, v)``, column ``col``; ``v`` must lie in degree ``d + shift`` (else ValueError).
-    Each test's rows are reduced into the pivots once complete, and ``d`` reads no more
-    tests once its rank is full.  The system returned holds each pivot row, keyed by its
-    lead column with the lead 1 restored: it spans the row space of every test."""
-    index = {col: i for i, col in enumerate(cols)}
-    blocks: dict[int, list] = {}
-    for col, d in zip(cols, degrees):
-        blocks.setdefault(d, []).append(col)
-    pivots: dict[int, dict[int, Scalar]] = {}  # columns of different degrees never share a lead
-    for d in sorted(blocks):
-        block = blocks[d]
-        full = len(pivots) + len(block)
-        for test, shift, constraints in tests(d, block):
-            if len(pivots) == full:
-                break
-            target, rows = d + shift, {}
-            for col, terms in constraints:
-                i = index[col]
-                for v, cf in terms:
-                    if v.degree != target:
-                        raise ValueError(f"ungraded entry {v} in test {test}: expected degree {target}")
-                    row = rows.setdefault(v, {})
-                    prev = row.get(i)
-                    total = cf if prev is None else prev + cf
-                    if total:
-                        row[i] = total
-                    elif prev is not None:
-                        del row[i]
-            for row in rows.values():
-                reduce_row(pivots, row)
-    system = LinearSystem(len(index))
-    for lead, tail in pivots.items():
-        for c, cf in {lead: ONE, **tail}.items():
-            system.add(lead, c, cf)
-    return system
-
-
 def centralizer_window(window: Window) -> list[Element]:
     """Exact basis of the in-window vectors commuting with every in-window generator."""
     gens = window.vectors()
@@ -482,6 +440,6 @@ def centralizer_window(window: Window) -> list[Element]:
         for g in gens:
             yield g, g.degree, ((bv, bracket_basis(bv, g)._terms.items()) for bv in block)
 
-    system = _graded_system(gens, [bv.degree for bv in gens], tests)
+    system = graded_system(gens, [bv.degree for bv in gens], tests)
     basis = [_normalized(Element(zip(gens, vec))) for vec in nullspace(system)]
     return sorted(basis, key=lambda e: e.terms()[0][0].sort_key())

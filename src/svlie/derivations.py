@@ -7,7 +7,7 @@ outer rules act by
     R3: Y[n] -> Y[n], M[n] -> 2 M[n]
 
 and everything kills C.  The oracles below build exact linear systems over
-window-bounded unknowns with the one assembler ``algebra._graded_system``,
+window-bounded unknowns with the one assembler ``scalar.graded_system``,
 whose rows are keyed ``(test, basis vector)`` and read one degree at a time,
 and solve them with the exact kernel solver.
 """
@@ -27,12 +27,11 @@ from .algebra import (
     Y,
     ZERO_ELEMENT,
     _add_into,
-    _graded_system,
     bracket,
     bracket_basis,
     single,
 )
-from .scalar import ONE, Scalar, ZERO, nullspace
+from .scalar import ONE, Scalar, ZERO, graded_system, nullspace
 
 __all__ = [
     "MAP_RADIUS",
@@ -254,7 +253,7 @@ def outer_independence_kernel(
             yield g, g.degree, ((col, terms(col, g)) for col in block)
 
     # the rule columns have degree 0, the column of z its degree
-    kernel = nullspace(_graded_system((*units, *gens), [0, 0, 0, *(g.degree for g in gens)], tests))
+    kernel = nullspace(graded_system((*units, *gens), [0, 0, 0, *(g.degree for g in gens)], tests))
     return [(vec[0], vec[1], vec[2], Element(zip(gens, vec[3:]))) for vec in kernel]
 
 
@@ -294,4 +293,4 @@ def equivariant_hom_nullity(window: Window) -> int:
 
     # the column (Y[n], t) shifts degrees by deg t - n
     cols = [(Y(n), t) for n in span for t in targets]
-    return len(nullspace(_graded_system(cols, [t.degree - yn.index for yn, t in cols], tests)))
+    return len(nullspace(graded_system(cols, [t.degree - yn.index for yn, t in cols], tests)))

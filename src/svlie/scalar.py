@@ -30,8 +30,8 @@ __all__ = [
     "spelled_scalar",
     "scan_scalar",
     "scan_simple_scalar",
+    "graded_system",
     "nullspace",
-    "reduce_row",
     "add_product",
 ]
 
@@ -462,8 +462,7 @@ class LinearSystem:
         """Add ``cf`` to the entry at ``(row_key, col)``; entries that cancel are dropped."""
         if not 0 <= col < self.cols:
             raise IndexError(f"column {col} outside 0..{self.cols - 1}")
-        if cf.__class__ is not Scalar:
-            cf = Scalar.coerce(cf)
+        cf = Scalar.coerce(cf)
         if not cf:
             return
         row = self._rows.get(row_key)
@@ -485,7 +484,7 @@ class LinearSystem:
             yield key, dict(row)
 
 
-def reduce_row(pivots: dict[int, dict[int, Scalar]], row: dict[int, Scalar]) -> None:
+def _reduce_row(pivots: dict[int, dict[int, Scalar]], row: dict[int, Scalar]) -> None:
     """Reduce ``row`` (consumed) against ``pivots``, each pivot column's row right of its pivot 1;
     unless it vanishes, it becomes the pivot row of its lead (lowest) column, scaled to lead with 1."""
     while row:
@@ -510,13 +509,54 @@ def reduce_row(pivots: dict[int, dict[int, Scalar]], row: dict[int, Scalar]) -> 
                     del row[c]
 
 
+def graded_system(cols, degrees, tests) -> LinearSystem:
+    """The pivot rows of ``tests`` over ``cols``, of degrees ``degrees``, read one degree at a time.
+
+    ``tests(d, block)`` yields ``(test, shift, constraints)`` for the columns ``block``
+    of degree ``d``: each ``(col, terms)`` adds every ``(v, cf)`` of ``terms`` at row
+    ``(test, v)``, column ``col``; ``v`` must lie in degree ``d + shift`` (else ValueError).
+    Each test's rows are reduced into the pivots once complete, and ``d`` reads no more
+    tests once its rank is full.  This is the only elimination: the system returned holds
+    each pivot row, keyed by its lead column with the lead 1 restored, and spans the row
+    space of every test, so ``nullspace`` only back-substitutes it."""
+    index = {col: i for i, col in enumerate(cols)}
+    blocks: dict[int, list] = {}
+    for col, d in zip(cols, degrees):
+        blocks.setdefault(d, []).append(col)
+    pivots: dict[int, dict[int, Scalar]] = {}  # columns of different degrees never share a lead
+    for d in sorted(blocks):
+        block = blocks[d]
+        full = len(pivots) + len(block)
+        for test, shift, constraints in tests(d, block):
+            target, rows = d + shift, {}
+            for col, terms in constraints:
+                i = index[col]
+                for v, cf in terms:
+                    if v.degree != target:
+                        raise ValueError(f"ungraded entry {v} in test {test}: expected degree {target}")
+                    row = rows.setdefault(v, {})
+                    prev = row.get(i)
+                    total = cf if prev is None else prev + cf
+                    if total:
+                        row[i] = total
+                    elif prev is not None:
+                        del row[i]
+            for row in rows.values():
+                _reduce_row(pivots, row)
+            if len(pivots) == full:
+                break
+    system = LinearSystem(len(index))
+    system._rows = {lead: {lead: ONE, **tail} for lead, tail in pivots.items()}
+    return system
+
+
 def nullspace(system: LinearSystem) -> list[list[Scalar]]:
     """Exact basis of the kernel of ``system``; empty list iff the kernel is trivial.
 
-    Sparse Gaussian elimination: ``reduce_row`` reduces each row in turn into
+    Sparse Gaussian elimination: ``_reduce_row`` reduces each row in turn into
     the pivot rows; a row already in echelon form, its lead 1 on a new column,
-    becomes a pivot row with no arithmetic, so the graded assembler's pivot
-    rows are only back-substituted.  Back-substitution gives one vector per
+    becomes a pivot row with no arithmetic, so the pivot rows ``graded_system``
+    returns are only back-substituted.  Back-substitution gives one vector per
     free column, with 1 on that column and 0 on the other free columns.  That
     basis depends only on the row space, so row order, duplicate rows and
     scaled rows do not change it.  ``system`` is left unchanged.
@@ -524,13 +564,7 @@ def nullspace(system: LinearSystem) -> list[list[Scalar]]:
     cols = system.cols
     pivots: dict[int, dict[int, Scalar]] = {}
     for stored in system._rows.values():
-        if len(pivots) == cols:
-            break
-        if len(stored) == 1:
-            (lead,) = stored
-            if lead in pivots and not pivots[lead]:
-                continue  # one entry on a column whose pivot row is empty reduces to zero
-        reduce_row(pivots, dict(stored))
+        _reduce_row(pivots, dict(stored))
     descending = sorted(pivots, reverse=True)
     basis: list[list[Scalar]] = []
     for free in range(cols):

@@ -373,10 +373,10 @@ def test_graded_kernels_match_the_full_systems(monkeypatch, build, full, radius)
     # the full system's pivots: appending a row keeps its rank iff the row reduces to zero
     pivots = {}
     for _, row in whole.items():
-        scalar.reduce_row(pivots, row)
+        scalar._reduce_row(pivots, row)
     assert len(pivots) == rank
     for key, row in graded.items():
-        scalar.reduce_row(pivots, row)
+        scalar._reduce_row(pivots, row)
         assert len(pivots) == rank, key
     assert scalar.nullspace(graded) == kernel
 

@@ -64,6 +64,10 @@ PARSE_ERRORS = [
     (parse_element, "(1+2i*L[1]", 5, "')'"),
     (parse_element, "2*", 2, "basis vector (L, Y, M or C)"),
     (parse_element, "L[1] + 3", 7, "'*' and a basis vector (bare scalar terms must cancel to zero)"),
+    # a two-part coefficient needs parentheses; without them its real part is a bare scalar
+    (parse_element, "1+2i*L[0]", 0, "'*' and a basis vector (bare scalar terms must cancel to zero)"),
+    (parse_element, "-1-2i*L[0]", 1, "'*' and a basis vector (bare scalar terms must cancel to zero)"),
+    (parse_element, "L[0] + 1/2-3i*Y[1]", 7, "'*' and a basis vector (bare scalar terms must cancel to zero)"),
     (parse_element, "L[1] 3", 5, "'+', '-' or end of element"),
     (parse_element, "L[1]+", 5, "term (scalar or basis vector)"),
     (parse_element, "Q[1]", 0, "term (scalar or basis vector)"),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from svlie.algebra import L, M, Y
 from svlie.scalar import (
     I,
     LinearSystem,
@@ -13,6 +14,7 @@ from svlie.scalar import (
     Scalar,
     ZERO,
     format_scalar,
+    graded_system,
     nullspace,
     parse_scalar,
 )
@@ -324,6 +326,38 @@ def test_adding_zero_to_a_new_key_creates_no_row():
         system.add("r", 1, zero)
     assert system.rows == 0
     assert dict(system.items()) == {}
+
+
+def test_graded_system_drops_an_entry_whose_constraints_cancel():
+    # row ("t", L[0]) gets 1 and then -1 at column "a", and 2 at column "b"
+    def tests(d, block):
+        yield "t", 0, [("a", [(L(0), ONE)]), ("b", [(L(0), q(2))]), ("a", [(L(0), -ONE)])]
+
+    system = graded_system(["a", "b"], [0, 0], tests)
+    assert (system.rows, system.cols) == (1, 2)
+    assert dict(system.items()) == {1: {1: ONE}}
+    assert nullspace(system) == [[ONE, ZERO]]
+
+
+def test_graded_system_reads_no_test_of_a_degree_after_its_rank_is_full():
+    entry = {"a": L(0), "b": M(0), "c": Y(1)}
+
+    def tests(d, block):
+        # the first test gives degree d full rank
+        yield ("t", d), 0, [(col, [(entry[col], ONE)]) for col in block]
+        pytest.fail(f"a test of degree {d} was read after its rank was full")
+
+    system = graded_system(["a", "b", "c"], [0, 0, 1], tests)
+    assert dict(system.items()) == {0: {0: ONE}, 1: {1: ONE}, 2: {2: ONE}}
+    assert nullspace(system) == []
+
+
+def test_graded_system_refuses_an_ungraded_entry():
+    def tests(d, block):
+        yield "t", 1, [("a", [(L(2), ONE)])]
+
+    with pytest.raises(ValueError, match=r"^ungraded entry L\[2\] in test t: expected degree 1$"):
+        graded_system(["a"], [0], tests)
 
 
 def dense_nullspace(rows, cols):
