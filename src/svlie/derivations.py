@@ -265,6 +265,11 @@ def equivariant_hom_nullity(window: Window) -> int:
     in L[-r..r] and C.  Each in-window pair (m, n) with m+n in-window gives the
     constraint f([L[m], Y[n]]) = [L[m], f(Y[n])], expanded exactly: codomain
     components outside the window still constrain the in-window unknowns.
+
+    The tests are read by |m|, m = 0 first.  ``ad L[0]`` acts by the degree, so
+    those give one-entry rows (n - k) x(Y[n], L[k]) = 0 and n x(Y[n], C) = 0
+    that fill every block of nonzero shift before another test is read; only
+    the shift-0 block reads tests with m != 0.
     """
     radius = window.radius
     if radius < HOM_RADIUS:
@@ -273,11 +278,14 @@ def equivariant_hom_nullity(window: Window) -> int:
     ls, ys = [L(k) for k in span], [Y(k) for k in span]  # L[k] is ls[k + radius]
     targets = (*ls, C)
 
+    order = sorted(span, key=abs)
+    action: dict[tuple[int, int], Scalar] = {}  # (m, n) -> -(Y[m+n] coefficient of [L[m], Y[n]])
+
     def tests(shift, block):
         at: dict[BasisVector, list[BasisVector]] = {}  # Y[n] -> each t of a column (Y[n], t) in block
         for yn, t in block:
             at.setdefault(yn, []).append(t)
-        for m in span:
+        for m in order:
             lm = ls[m + radius]
             for n in range(max(-radius, -radius - m), min(radius, radius - m) + 1):
                 yn, ymn = ys[n + radius], ys[m + n + radius]
@@ -286,7 +294,9 @@ def equivariant_hom_nullity(window: Window) -> int:
                     continue
                 constraints = [((yn, t), bracket_basis(lm, t)._terms.items()) for t in direct]
                 if images:
-                    neg = -bracket_basis(lm, yn).coeff(ymn)
+                    neg = action.get((m, n))
+                    if neg is None:
+                        neg = action[m, n] = -bracket_basis(lm, yn).coeff(ymn)
                     if neg:
                         constraints += [((ymn, t), ((t, neg),)) for t in images]
                 yield (m, n), m + n, constraints

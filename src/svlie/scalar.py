@@ -516,9 +516,11 @@ def graded_system(cols, degrees, tests) -> LinearSystem:
     of degree ``d``: each ``(col, terms)`` adds every ``(v, cf)`` of ``terms`` at row
     ``(test, v)``, column ``col``; ``v`` must lie in degree ``d + shift`` (else ValueError).
     Each test's rows are reduced into the pivots once complete, and ``d`` reads no more
-    tests once its rank is full.  This is the only elimination: the system returned holds
-    each pivot row, keyed by its lead column with the lead 1 restored, and spans the row
-    space of every test, so ``nullspace`` only back-substitutes it."""
+    tests once its rank is full, so a caller should yield its most decisive tests first;
+    an entry in a test never read cannot raise the ungraded-entry error.  This is the
+    only elimination: the system returned holds each pivot row, keyed by its lead column
+    with the lead 1 restored, and spans the row space of every test, so ``nullspace``
+    only back-substitutes it."""
     index = {col: i for i, col in enumerate(cols)}
     blocks: dict[int, list] = {}
     for col, d in zip(cols, degrees):

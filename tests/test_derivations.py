@@ -253,6 +253,26 @@ def test_hom_nullity_wide_windows(radius):
     assert equivariant_hom_nullity(Window(radius)) == 0
 
 
+@pytest.mark.parametrize("radius, read", [(8, 312), (16, 1136)])
+def test_hom_reads_its_diagonal_tests_first(monkeypatch, radius, read):
+    """The m = 0 tests fill every block of nonzero shift, so hom reads only
+    the shift-0 block's other tests; radius 16 is the CLI's ceiling."""
+    count = 0
+
+    def counting(cols, degrees, tests):
+        def counted(d, block):
+            nonlocal count
+            for test in tests(d, block):
+                count += 1
+                yield test
+
+        return scalar.graded_system(cols, degrees, counted)
+
+    monkeypatch.setattr(derivations, "graded_system", counting)
+    assert equivariant_hom_nullity(Window(radius)) == 0
+    assert count == read
+
+
 def test_hom_nullity_needs_radius_2():
     with pytest.raises(ValueError, match=r"^equivariant_hom_nullity needs window radius >= 2$"):
         equivariant_hom_nullity(Window(1))
@@ -261,10 +281,10 @@ def test_hom_nullity_needs_radius_2():
 @pytest.mark.parametrize(
     "radius, centralizer, outer, hom",
     [
-        (2, (14, 16, 14, 14), (17, 19, 19, 17), (30, 30, 42, 30)),
-        (3, (20, 22, 20, 20), (23, 25, 25, 23), (56, 56, 76, 56)),
-        (4, (26, 28, 26, 26), (29, 31, 31, 29), (90, 90, 122, 90)),
-        (8, (50, 52, 50, 50), (53, 55, 55, 53), (306, 306, 402, 306)),
+        (2, (14, 16, 14, 14), (17, 19, 19, 17), (30, 30, 33, 30)),
+        (3, (20, 22, 20, 20), (23, 25, 25, 23), (56, 56, 61, 56)),
+        (4, (26, 28, 26, 26), (29, 31, 31, 29), (90, 90, 97, 90)),
+        (8, (50, 52, 50, 50), (53, 55, 55, 53), (306, 306, 321, 306)),
         (16, (98, 100, 98, 98), None, None),
     ],
 )
@@ -381,17 +401,29 @@ def test_graded_kernels_match_the_full_systems(monkeypatch, build, full, radius)
     assert scalar.nullspace(graded) == kernel
 
 
-@pytest.mark.parametrize("build", [centralizer_window, outer_independence_kernel, equivariant_hom_nullity])
-def test_an_ungraded_bracket_entry_is_refused(monkeypatch, build):
-    # [L[-2], L[-1]] lies in degree -3; each system reads this entry at radius 2
+@pytest.mark.parametrize(
+    "build, pair",
+    [
+        # [L[-2], L[-1]] lies in degree -3; hom's blocks fill before any test reads it
+        (centralizer_window, (L(-2), L(-1))),
+        (outer_independence_kernel, (L(-2), L(-1))),
+        # [L[0], L[-1]] lies in degree -1; every system reads it at radius 2, hom in an m = 0 test
+        (centralizer_window, (L(0), L(-1))),
+        (outer_independence_kernel, (L(0), L(-1))),
+        (equivariant_hom_nullity, (L(0), L(-1))),
+    ],
+    ids=lambda p: getattr(p, "__name__", None) or ",".join(map(str, p)),
+)
+def test_an_ungraded_bracket_entry_is_refused(monkeypatch, build, pair):
     original = algebra.bracket_basis
 
     def ungraded(a, b):
-        return single(M(0)) if (a, b) == (L(-2), L(-1)) else original(a, b)
+        return single(M(0)) if (a, b) == pair else original(a, b)
 
     monkeypatch.setattr(algebra, "bracket_basis", ungraded)
     monkeypatch.setattr(derivations, "bracket_basis", ungraded)
-    with pytest.raises(ValueError, match=r"^ungraded entry M\[0\] in test .+: expected degree -3$"):
+    degree = pair[0].degree + pair[1].degree
+    with pytest.raises(ValueError, match=rf"^ungraded entry M\[0\] in test .+: expected degree {degree}$"):
         build(Window(2))
 
 
