@@ -439,49 +439,22 @@ def _scanned_scalar(text: str) -> Scalar:
 
 
 class LinearSystem:
-    """A sparse exact linear system: rows of Gaussian-rational entries.
+    """Exact linear equations over columns ``0 .. cols - 1`` in echelon form, as
+    ``graded_system`` returns them.
 
-    Rows are keyed by any hashable the caller picks and hold only their
-    nonzero entries; columns are ``0 .. cols - 1``.  ``rows`` counts the
-    rows that have at least one nonzero entry.
+    ``pivots`` maps each lead column to its row right of the lead 1, a dict of the
+    nonzero Gaussian-rational entries; ``rows`` counts them, the rank.
     """
 
-    __slots__ = ("cols", "_rows")
+    __slots__ = ("cols", "pivots")
 
-    def __init__(self, cols: int):
-        if cols < 0:
-            raise ValueError("column count must be nonnegative")
+    def __init__(self, cols: int, pivots: dict[int, dict[int, Scalar]]):
         self.cols = cols
-        self._rows: dict[object, dict[int, Scalar]] = {}
+        self.pivots = pivots
 
     @property
     def rows(self) -> int:
-        return len(self._rows)
-
-    def add(self, row_key, col: int, cf) -> None:
-        """Add ``cf`` to the entry at ``(row_key, col)``; entries that cancel are dropped."""
-        if not 0 <= col < self.cols:
-            raise IndexError(f"column {col} outside 0..{self.cols - 1}")
-        cf = Scalar.coerce(cf)
-        if not cf:
-            return
-        row = self._rows.get(row_key)
-        if row is None:
-            self._rows[row_key] = {col: cf}
-            return
-        prev = row.get(col)
-        total = cf if prev is None else prev + cf
-        if total:
-            row[col] = total
-        else:
-            del row[col]
-            if not row:
-                del self._rows[row_key]
-
-    def items(self):
-        """Each nonzero row as ``(row_key, {col: cf})``, copied."""
-        for key, row in self._rows.items():
-            yield key, dict(row)
+        return len(self.pivots)
 
 
 def _reduce_row(pivots: dict[int, dict[int, Scalar]], row: dict[int, Scalar]) -> None:
@@ -512,18 +485,19 @@ def _reduce_row(pivots: dict[int, dict[int, Scalar]], row: dict[int, Scalar]) ->
 def graded_system(cols, degrees, tests) -> LinearSystem:
     """The pivot rows of ``tests`` over ``cols``, of degrees ``degrees``, read one degree at a time.
 
-    ``tests(d, block)`` yields ``(test, shift, constraints)`` for the columns ``block``
-    of degree ``d``: each ``(col, terms)`` adds every ``(v, cf)`` of ``terms`` at row
-    ``(test, v)``, column ``col``; ``v`` must lie in degree ``d + shift`` (else ValueError).
-    Each test's rows are reduced into the pivots once complete, and ``d`` reads no more
-    tests once its rank is full, so a caller should yield its most decisive tests first;
-    an entry in a test never read cannot raise the ungraded-entry error.  This is the
-    only elimination: the system returned holds each pivot row, keyed by its lead column
-    with the lead 1 restored, and spans the row space of every test, so ``nullspace``
-    only back-substitutes it."""
+    ``degrees`` gives one degree per column (else ValueError).  ``tests(d, block)``
+    yields ``(test, shift, constraints)`` for the columns ``block`` of degree ``d``:
+    each ``(col, terms)`` adds every ``(v, cf)`` of ``terms`` at row ``(test, v)``,
+    column ``col``; ``v`` must lie in degree ``d + shift`` (else ValueError).  Each
+    test's rows are reduced into the pivots once complete, and ``d`` reads no more
+    tests once its rank is full, so a caller should yield its most decisive tests
+    first; an entry in a test never read cannot raise the ungraded-entry error.
+    This is the only elimination: the pivot rows span the row space of every test,
+    and ``nullspace`` only back-substitutes them, so row order, duplicate rows and
+    scaled rows do not change the kernel basis."""
     index = {col: i for i, col in enumerate(cols)}
     blocks: dict[int, list] = {}
-    for col, d in zip(cols, degrees):
+    for col, d in zip(cols, degrees, strict=True):
         blocks.setdefault(d, []).append(col)
     pivots: dict[int, dict[int, Scalar]] = {}  # columns of different degrees never share a lead
     for d in sorted(blocks):
@@ -547,26 +521,16 @@ def graded_system(cols, degrees, tests) -> LinearSystem:
                 _reduce_row(pivots, row)
             if len(pivots) == full:
                 break
-    system = LinearSystem(len(index))
-    system._rows = {lead: {lead: ONE, **tail} for lead, tail in pivots.items()}
-    return system
+    return LinearSystem(len(index), pivots)
 
 
 def nullspace(system: LinearSystem) -> list[list[Scalar]]:
     """Exact basis of the kernel of ``system``; empty list iff the kernel is trivial.
 
-    Sparse Gaussian elimination: ``_reduce_row`` reduces each row in turn into
-    the pivot rows; a row already in echelon form, its lead 1 on a new column,
-    becomes a pivot row with no arithmetic, so the pivot rows ``graded_system``
-    returns are only back-substituted.  Back-substitution gives one vector per
-    free column, with 1 on that column and 0 on the other free columns.  That
-    basis depends only on the row space, so row order, duplicate rows and
-    scaled rows do not change it.  ``system`` is left unchanged.
+    Back-substitution of the pivot rows gives one vector per free column, with 1 on
+    that column and 0 on the other free columns.  ``system`` is left unchanged.
     """
-    cols = system.cols
-    pivots: dict[int, dict[int, Scalar]] = {}
-    for stored in system._rows.values():
-        _reduce_row(pivots, dict(stored))
+    cols, pivots = system.cols, system.pivots
     descending = sorted(pivots, reverse=True)
     basis: list[list[Scalar]] = []
     for free in range(cols):

@@ -297,7 +297,7 @@ def test_kernel_systems_keep_their_shapes(monkeypatch, radius, centralizer, oute
 
     def recording(system):
         kernel = scalar.nullspace(system)
-        entries = sum(len(row) for _, row in system.items())
+        entries = system.rows + sum(len(tail) for tail in system.pivots.values())
         shapes.append((system.rows, system.cols, entries, system.cols - len(kernel)))
         return kernel
 
@@ -331,13 +331,17 @@ def _graded_systems(monkeypatch, build, radius):
 
 
 def _full_system(cols, constraints):
-    """Every ``(test, col, terms)`` adds each ``(v, cf)`` of ``terms`` at row ``(test, v)``."""
+    """``(column count, rows)``: every ``(test, col, terms)`` adds each ``(v, cf)``
+    of ``terms`` at row ``(test, v)``; entries that cancel are dropped."""
     index = {col: i for i, col in enumerate(cols)}
-    system = LinearSystem(len(cols))
+    rows = {}
     for test, col, terms in constraints:
         for v, cf in terms:
-            system.add((test, v), index[col], cf)
-    return system
+            row = rows.setdefault((test, v), {})
+            total = row.pop(index[col], ZERO) + cf
+            if total:
+                row[index[col]] = total
+    return len(cols), list(rows.values())
 
 
 def _full_centralizer(radius):
@@ -381,24 +385,32 @@ def test_graded_kernels_match_the_full_systems(monkeypatch, build, full, radius)
     """The graded assembler hands on echelon pivot rows, as many as the full
     system's rank and each in its row space, with the same kernel basis,
     vector by vector."""
-    graded, whole = _graded_systems(monkeypatch, build, radius), full(radius)
-    kernel = scalar.nullspace(whole)
-    rank = whole.cols - len(kernel)
-    assert graded.cols == whole.cols and graded.rows == rank
-    leads = []
-    for key, row in graded.items():
-        assert key == min(row) and row[key] == ONE, key
-        leads.append(key)
-    assert len(set(leads)) == len(leads)
+    graded, (cols, rows) = _graded_systems(monkeypatch, build, radius), full(radius)
     # the full system's pivots: appending a row keeps its rank iff the row reduces to zero
     pivots = {}
-    for _, row in whole.items():
+    for row in rows:
         scalar._reduce_row(pivots, row)
-    assert len(pivots) == rank
-    for key, row in graded.items():
-        scalar._reduce_row(pivots, row)
-        assert len(pivots) == rank, key
+    kernel = scalar.nullspace(LinearSystem(cols, pivots))
+    rank = cols - len(kernel)
+    assert graded.cols == cols and graded.rows == rank == len(pivots)
+    for lead, tail in graded.pivots.items():
+        assert all(c > lead for c in tail), lead
+        scalar._reduce_row(pivots, {lead: ONE, **tail})
+        assert len(pivots) == rank, lead
     assert scalar.nullspace(graded) == kernel
+
+
+@pytest.mark.parametrize("build", [centralizer_window, outer_independence_kernel, equivariant_hom_nullity])
+def test_nullspace_does_no_elimination(monkeypatch, build):
+    """``nullspace`` only back-substitutes the pivot rows the assembler hands it."""
+    system = _graded_systems(monkeypatch, build, 4)
+    kernel = scalar.nullspace(system)
+
+    def refuse(pivots, row):
+        raise AssertionError("nullspace reduced a row")
+
+    monkeypatch.setattr(scalar, "_reduce_row", refuse)
+    assert scalar.nullspace(system) == kernel
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Property tests: the sparse nullspace against a dense (Fraction, Fraction) reference.
+"""Property tests: ``graded_system`` then ``nullspace`` against a dense
+(Fraction, Fraction) reference.
 
 Kept apart from test_scalar.py so that a missing hypothesis skips only these.
 """
@@ -11,7 +12,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from svlie.scalar import LinearSystem, Scalar, nullspace  # noqa: E402
+from svlie.algebra import C, L  # noqa: E402
+from svlie.scalar import Scalar, graded_system, nullspace  # noqa: E402
 
 ZERO_PAIR = (Fraction(0), Fraction(0))
 ONE_PAIR = (Fraction(1), Fraction(0))
@@ -82,11 +84,16 @@ def reference_nullspace(cols, rows):
 
 
 def solve(cols, keyed_rows):
-    """nullspace of the system holding ``(key, row)`` pairs, as (re, im) pairs."""
-    system = LinearSystem(cols)
+    """nullspace of the rows ``(key, row)``, as (re, im) pairs: one test per key,
+    each entry at the degree-0 vector C, so rows sent to one key add up."""
+    tests = {}
     for key, row in keyed_rows:
-        for col, (re, im) in enumerate(row):
-            system.add(key, col, Scalar(re, im))
+        tests.setdefault(key, []).extend(
+            (col, [(C, Scalar(re, im))]) for col, (re, im) in enumerate(row)
+        )
+    system = graded_system(
+        range(cols), [0] * cols, lambda d, block: ((k, 0, c) for k, c in tests.items())
+    )
     return [[(v.re, v.im) for v in vec] for vec in nullspace(system)]
 
 
@@ -112,3 +119,25 @@ def test_kernel_ignores_row_order_scaling_and_duplicates(system, rnd, scales):
     # rows sent to the same key add up; splitting each row in two halves keeps it
     halves = [(i, [(v[0] / 2, v[1] / 2) for v in row]) for i, row in enumerate(rows)]
     assert solve(cols, halves + halves) == expected
+
+
+@given(systems(), st.data())
+def test_graded_kernel_matches_the_dense_reference_over_several_degrees(system, data):
+    """Each row is one test of shift ``shift``: its entries in the columns of
+    degree ``d`` lie at L[d + shift], a row of their own in the full system."""
+    cols, rows = system
+    degrees = data.draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols))
+    shifts = data.draw(st.lists(st.integers(-1, 1), min_size=len(rows), max_size=len(rows)))
+
+    def tests(d, block):
+        for i, (row, shift) in enumerate(zip(rows, shifts)):
+            v = L(d + shift)
+            yield i, shift, [(col, [(v, Scalar(*row[col]))]) for col in block]
+
+    kernel = nullspace(graded_system(range(cols), degrees, tests))
+    full = [
+        [v if degrees[col] == d else ZERO_PAIR for col, v in enumerate(row)]
+        for row in rows
+        for d in set(degrees)
+    ]
+    assert [[(v.re, v.im) for v in vec] for vec in kernel] == reference_nullspace(cols, full)
