@@ -32,7 +32,6 @@ from .autgroup import (
     factorize,
     identity,
     invert,
-    is_automorphism_window,
 )
 from .derivations import (
     ClassifiedDerivation,
@@ -43,6 +42,7 @@ from .derivations import (
     classify_degree0,
     decompose,
     equivariant_hom_nullity,
+    is_automorphism_window,
     leibniz_check,
     outer_independence_kernel,
 )

@@ -17,7 +17,6 @@ term dict, and a term is dropped the moment it cancels.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .scalar import ONE, Scalar, ZERO, add_product, format_scalar, graded_system, nullspace
 
@@ -258,13 +257,15 @@ def single(bv: BasisVector, coeff=ONE) -> Element:
     With the default coefficient ``ONE`` this is the one shared unit element
     of ``bv``, built on first use; that is safe because no code writes into an
     element's terms once it is built.  Any other coefficient builds a new element.
+    A key that is not a ``BasisVector`` is refused as ``Element`` refuses it,
+    checked when a unit is first built, so a cached unit costs no check.
     """
     if coeff is ONE:
         unit = _UNITS.get(bv)
         if unit is None:
-            unit = _UNITS[bv] = Element._wrap({bv: ONE})
+            unit = _UNITS[bv] = Element([(bv, ONE)])
         return unit
-    coeff = Scalar.coerce(coeff)
+    bv, coeff = _checked_term((bv, coeff))
     return Element._wrap({bv: coeff}) if coeff else ZERO_ELEMENT
 
 
@@ -274,15 +275,14 @@ def format_element(x: Element) -> str:
         return "0"
     pieces: list[str] = []
     for bv, cf in x.terms():
-        negative = (cf.re < 0) if cf.re else (cf.im < 0)
-        magnitude = -cf if negative else cf
-        if magnitude == ONE:
-            body = str(bv)
-        else:
-            text = format_scalar(magnitude)
-            if "+" in text or "-" in text:
-                text = f"({text})"
-            body = f"{text}*{bv}"
+        # format_scalar's text leads with "-" exactly when re < 0, or re == 0 and im < 0
+        text = format_scalar(cf)
+        negative = text[0] == "-"
+        if negative:
+            text = format_scalar(-cf)
+        if "+" in text or "-" in text:
+            text = f"({text})"
+        body = str(bv) if text == "1" else f"{text}*{bv}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:
@@ -307,16 +307,16 @@ def bracket_basis(a: BasisVector, b: BasisVector) -> Element:
         return -bracket_basis(b, a)
     n, m = a.index, b.index
     if ka == "L" and kb == "L":
-        terms: list[tuple[BasisVector, Fraction]] = []
+        terms: list[tuple[BasisVector, Scalar]] = []
         if m != n:
-            terms.append((L(n + m), Fraction(m - n)))
+            terms.append((L(n + m), Scalar(m - n)))
         if n + m == 0:
-            central = Fraction(n**3 - n, 12)
+            central = Scalar(n**3 - n) / 12
             if central:
                 terms.append((C, central))
         return Element(terms)
     if ka == "L" and kb == "Y":
-        cf = Fraction(2 * m - n, 2)
+        cf = Scalar(2 * m - n) / 2
         return Element([(Y(n + m), cf)]) if cf else ZERO_ELEMENT
     if ka == "L" and kb == "M":
         return Element([(M(n + m), m)]) if m else ZERO_ELEMENT
@@ -352,7 +352,7 @@ def bracket(x: Element, y: Element) -> Element:
     return Element._wrap(_bracket_into({}, x, y))
 
 
-_HALF = Scalar(Fraction(1, 2))
+_HALF = ONE / 2
 
 
 def _check_bracket_work(text: str, x: Element, y: Element) -> None:

@@ -50,7 +50,7 @@ from .algebra import (
     exp_ad,
     single,
 )
-from .derivations import MAP_RADIUS, WindowMap, _apply_outer, _bracket_violations
+from .derivations import MAP_RADIUS, WindowMap, _apply_outer
 from .scalar import ONE, Scalar, ZERO
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "compose_oracle",
     "invert",
     "factorize",
-    "is_automorphism_window",
     "automorphism_window_map",
 ]
 
@@ -237,13 +236,6 @@ def invert(p: AutomorphismParams) -> AutomorphismParams:
     )
     b, c = _split_inner(-_tail(tail_inv)(_inner_argument(p.b, p.c)))
     return tail_inv.replace(b=b, c=c)
-
-
-def is_automorphism_window(
-    dmap: WindowMap,
-) -> list[tuple[BasisVector, BasisVector, Element]]:
-    """Violations of m[x,y] = [m(x), m(y)] over in-window pairs, with residuals."""
-    return _bracket_violations(dmap, lambda x, y: (bracket(dmap.image(x), dmap.image(y)),))
 
 
 def factorize(dmap: WindowMap) -> AutomorphismParams:

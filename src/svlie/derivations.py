@@ -1,4 +1,4 @@
-"""Derivation rules, the Leibniz checker, and windowed classification oracles.
+"""Derivation rules, the Leibniz and automorphism checkers, and windowed classification oracles.
 
 A classified derivation is ``c1*R1 + c2*R2 + c3*R3 + ad(z)`` where the three
 outer rules act by
@@ -42,6 +42,7 @@ __all__ = [
     "apply_classified",
     "classified_window_map",
     "leibniz_check",
+    "is_automorphism_window",
     "classify_degree0",
     "decompose",
     "outer_independence_kernel",
@@ -172,6 +173,11 @@ def leibniz_check(dmap: WindowMap) -> list[tuple[BasisVector, BasisVector, Eleme
         dmap,
         lambda x, y: (bracket(dmap.image(x), single(y)), bracket(single(x), dmap.image(y))),
     )
+
+
+def is_automorphism_window(dmap: WindowMap) -> list[tuple[BasisVector, BasisVector, Element]]:
+    """Violations of m[x,y] = [m(x), m(y)] over in-window pairs, with residuals."""
+    return _bracket_violations(dmap, lambda x, y: (bracket(dmap.image(x), dmap.image(y)),))
 
 
 def classify_degree0(dmap: WindowMap) -> ClassifiedDerivation:

@@ -11,7 +11,6 @@ oracle — candidate agreement is reported, never required.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from itertools import permutations
 
 from .algebra import (
@@ -87,15 +86,12 @@ class SplitMix64:
         return seq[self.next() % len(seq)]
 
 
-def random_rational(rng: SplitMix64) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-
 def random_scalar(rng: SplitMix64, nonzero: bool = False) -> Scalar:
+    """``p/q + (r/s)*i``, with the imaginary part drawn one time in three."""
     while True:
-        re = random_rational(rng)
-        im = random_rational(rng) if rng.randint(0, 2) == 0 else Fraction(0)
-        value = Scalar(re, im)
+        p, q = rng.randint(-4, 4), rng.randint(1, 3)
+        r, s = (rng.randint(-4, 4), rng.randint(1, 3)) if rng.randint(0, 2) == 0 else (0, 1)
+        value = Scalar(p * s, r * q) / (q * s)
         if value or not nonzero:
             return value
 
@@ -371,7 +367,7 @@ def _candidate_components(p: AutomorphismParams, q: AutomorphismParams) -> dict:
                 - p.u ** (sp * (k - j)) * p.b.get(j, ZERO) * q.b.get(sp * (k - j), ZERO)
             )
             if term:
-                cross = cross + Fraction(sp * (k - j) * (k - 2 * j), 2 * k) * p.w * term
+                cross = cross + Scalar(sp * (k - j) * (k - 2 * j)) / (2 * k) * p.w * term
         c2[k] = total - cross
     # canonical b and c, zeros dropped and positions sorted, through the one constructor
     canonical = AutomorphismParams(b=b2, c=c2)
@@ -408,8 +404,8 @@ def _curated_pairs() -> list[tuple[AutomorphismParams, AutomorphismParams]]:
     shear_a = AutomorphismParams(alpha=ONE)
     shear_b = AutomorphismParams(beta=ONE)
     shear_g = AutomorphismParams(gamma=ONE)
-    kind2 = AutomorphismParams(w=Scalar(Fraction(2)))
-    deg2 = AutomorphismParams(u=Scalar(Fraction(2)))
+    kind2 = AutomorphismParams(w=Scalar(2))
+    deg2 = AutomorphismParams(u=Scalar(2))
     flip = AutomorphismParams(i=1)
     xi_b1 = AutomorphismParams(b={1: ONE})
     xi_bm1 = AutomorphismParams(b={-1: ONE})
@@ -422,8 +418,8 @@ def _curated_pairs() -> list[tuple[AutomorphismParams, AutomorphismParams]]:
         (xi_b1, xi_b2),
         (xi_b2, xi_bm1),
         (AutomorphismParams(b={1: ONE}, alpha=ONE), xi_bm1),
-        (AutomorphismParams(b={1: ONE}, i=1, w=Scalar(Fraction(2))), xi_b2),
-        (AutomorphismParams(b={-2: ONE}, u=Scalar(Fraction(3))), xi_b2),
+        (AutomorphismParams(b={1: ONE}, i=1, w=Scalar(2)), xi_b2),
+        (AutomorphismParams(b={-2: ONE}, u=Scalar(3)), xi_b2),
     ]
     return pairs
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,15 @@ def test_element_refuses_a_key_that_is_not_a_basis_vector():
             Element(terms)
     with pytest.raises(TypeError, match="'L'"):
         Element([("L", 1)])
+
+
+@pytest.mark.parametrize("coeff", [(), (2,), (0,)], ids=["unit", "two", "zero"])
+@pytest.mark.parametrize("key", ["L[1]", 3, None], ids=["str", "int", "none"])
+def test_single_refuses_a_key_that_is_not_a_basis_vector(key, coeff):
+    units = dict(algebra._UNITS)
+    with pytest.raises(TypeError, match=re.escape(f"keyed by BasisVector, not {key!r}")):
+        single(key, *coeff)
+    assert algebra._UNITS == units
 
 
 # The fused composites below build one term dict; each is compared with the

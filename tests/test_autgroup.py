@@ -17,9 +17,8 @@ from svlie.autgroup import (
     factorize,
     identity,
     invert,
-    is_automorphism_window,
 )
-from svlie.derivations import WindowMap
+from svlie.derivations import WindowMap, is_automorphism_window
 from svlie.expr import params_from_json, params_to_json
 from svlie.scalar import I, ONE, Scalar, ZERO
 from svlie.verify import SplitMix64, random_element, random_params, random_scalar

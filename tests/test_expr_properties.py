@@ -38,6 +38,41 @@ def test_parse_inverts_format(x):
     assert parse_element(format_element(x)) == x
 
 
+def _fraction_rule(x: Element) -> str:
+    """The reference spelling, reading each sign off the ``Fraction`` parts
+    ``.re`` and ``.im``: a term is negative when re < 0, or re == 0 and im < 0,
+    and a magnitude equal to 1 is elided."""
+    pieces = []
+    for bv, cf in x.terms():
+        negative = (cf.re < 0) if cf.re else (cf.im < 0)
+        magnitude = -cf if negative else cf
+        if magnitude == Scalar(1):
+            body = str(bv)
+        else:
+            text = format_scalar(magnitude)
+            body = f"({text})*{bv}" if "+" in text or "-" in text else f"{text}*{bv}"
+        sign = ("-" if negative else "") if not pieces else (" - " if negative else " + ")
+        pieces.append(sign + body)
+    return "".join(pieces) or "0"
+
+
+# parts in {-2, ..., 2} over {1, 2}: units, pure imaginaries and every sign pair are common
+unit_scale_scalars = st.builds(
+    Scalar, st.fractions(-2, 2, max_denominator=2), st.fractions(-2, 2, max_denominator=2)
+)
+mixed_elements = st.lists(
+    st.tuples(basis_vectors, scalars | unit_scale_scalars), max_size=6
+).map(Element)
+
+
+@given(mixed_elements)
+@hypothesis.example(Element([(BasisVector("Y", 1), Scalar(-1, 2))]))  # -(1-2i)*Y[1]
+@hypothesis.example(Element([(BasisVector("L", 0), Scalar(0, -1)), (C, Scalar(0, -3))]))
+@hypothesis.example(Element([(BasisVector("M", 2), -1), (C, 1)]))
+def test_format_spells_each_term_as_the_fraction_rule(x):
+    assert format_element(x) == _fraction_rule(x)
+
+
 @given(elements, foreign_digits, st.data())
 def test_a_non_ascii_digit_is_a_parse_error_at_its_offset(x, digit, data):
     text = format_element(x)

@@ -8,6 +8,7 @@ and one structural start-up check in a fresh interpreter.
 - every other module imports only from modules before it in ``LAYERS``, so the
   engine (``scalar`` to ``autgroup``) never reaches the reader of outside input;
 - at most ``MAX_PRIVATE_IMPORTS`` private names are imported across modules;
+- only ``scalar.py`` imports ``fractions``: ``Scalar`` is the one number type;
 - every module parses with the grammar of the oldest supported Python,
   ``requires-python = ">=3.10"`` in pyproject.toml;
 - importing ``svlie.cli`` and ``svlie.verify`` in a fresh interpreter loads none
@@ -29,7 +30,7 @@ import svlie
 PACKAGE = Path(svlie.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 LAYERS = ("scalar", "algebra", "derivations", "autgroup", "expr", "verify", "cli")
-MAX_PRIVATE_IMPORTS = 6
+MAX_PRIVATE_IMPORTS = 5
 OLDEST_PYTHON = (3, 10)
 HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
@@ -47,6 +48,18 @@ def _imported(tree: ast.Module) -> dict[str, int]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """The top-level name of each module imported absolutely (``fractions`` for
+    ``from fractions import Fraction``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
     return out
 
 
@@ -132,9 +145,9 @@ def test_each_module_imports_only_earlier_layers(name):
 
 
 def test_few_private_names_cross_modules():
-    """The six: autgroup imports ``_apply_outer`` and ``_bracket_violations`` from
-    derivations; derivations imports ``_add_into`` from algebra; expr imports
-    ``_MAX_TERMS`` from algebra and ``_digit_run`` and ``_skip_ws`` from scalar."""
+    """The five: autgroup imports ``_apply_outer`` from derivations; derivations
+    imports ``_add_into`` from algebra; expr imports ``_MAX_TERMS`` from algebra
+    and ``_digit_run`` and ``_skip_ws`` from scalar."""
     crossing = sorted(
         f"{path.stem} <- {module}.{name}"
         for path in MODULES
@@ -142,6 +155,17 @@ def test_few_private_names_cross_modules():
         if name and name.startswith("_")
     )
     assert len(crossing) <= MAX_PRIVATE_IMPORTS, crossing
+
+
+def test_only_scalar_imports_fractions():
+    """``Scalar`` is the engine's one number type, and ``Fraction`` appears only at
+    its public edge: no other module imports ``fractions`` or binds ``Fraction``."""
+    importers = sorted(
+        path.name
+        for path in MODULES
+        if "fractions" in _absolute_imports(_tree(path)) or "Fraction" in _imported(_tree(path))
+    )
+    assert importers == ["scalar.py"], importers
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
