@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 
-from .scalar import ONE, Scalar, ZERO, add_product, format_scalar, graded_system, nullspace
+from .scalar import ONE, Scalar, ZERO, add_into, add_product, format_scalar, graded_system, nullspace
 
 __all__ = [
     "Record",
@@ -162,21 +162,6 @@ def _checked_term(term) -> tuple[BasisVector, Scalar]:
     return bv, Scalar.coerce(coeff)
 
 
-def _add_into(acc: dict, items, factor=None) -> dict:
-    """Add each ``(bv, cf)`` of ``items``, times ``factor`` if given, into ``acc``;
-    a term is dropped the moment it cancels, so a zero-free ``acc`` stays zero-free."""
-    for bv, cf in items:
-        if factor is not None:
-            cf = cf * factor
-        prev = acc.get(bv)
-        total = cf if prev is None else prev + cf
-        if total:
-            acc[bv] = total
-        elif prev is not None:
-            del acc[bv]
-    return acc
-
-
 class Element:
     """Finitely supported linear combination of basis vectors over Scalar.
 
@@ -187,7 +172,7 @@ class Element:
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        self._terms = _add_into({}, map(_checked_term, items))
+        self._terms = add_into({}, map(_checked_term, items))
 
     @classmethod
     def _wrap(cls, clean: dict[BasisVector, Scalar]) -> "Element":
@@ -218,12 +203,12 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        return Element._wrap(_add_into(dict(self._terms), other._terms.items()))
+        return Element._wrap(add_into(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        return Element._wrap(_add_into(dict(self._terms), other._terms.items(), -1))
+        return Element._wrap(add_into(dict(self._terms), other._terms.items(), -1))
 
     def __neg__(self) -> "Element":
         return Element._wrap({bv: -cf for bv, cf in self._terms.items()})
@@ -326,7 +311,7 @@ def bracket_basis(a: BasisVector, b: BasisVector) -> Element:
 
 
 def _bracket_into(acc: dict, x: Element, y: Element, factor=None) -> dict:
-    """Add ``[x, y]``, times ``factor`` if given, into ``acc`` as ``_add_into`` does.
+    """Add ``[x, y]``, times ``factor`` if given, into ``acc`` as ``add_into`` does.
 
     Each term ``k*v`` of a basis bracket ``[a, b]`` adds ``k*ca*cb`` to ``v``
     through ``add_product``, which builds one scalar per term.  ``ca`` is
@@ -379,7 +364,7 @@ def exp_ad(x: Element, target: Element) -> Element:
     if first.is_zero():
         return target
     _check_bracket_work("[x, [x, t]]", x, first)
-    acc = _add_into(dict(target._terms), first._terms.items())
+    acc = add_into(dict(target._terms), first._terms.items())
     return Element._wrap(_bracket_into(acc, x, first, _HALF))
 
 

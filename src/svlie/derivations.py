@@ -26,12 +26,11 @@ from .algebra import (
     Window,
     Y,
     ZERO_ELEMENT,
-    _add_into,
     bracket,
     bracket_basis,
     single,
 )
-from .scalar import ONE, Scalar, ZERO, graded_system, nullspace
+from .scalar import ONE, Scalar, ZERO, add_into, graded_system, nullspace
 
 __all__ = [
     "MAP_RADIUS",
@@ -84,16 +83,14 @@ def _outer_term(c1: Scalar, c2: Scalar, c3: Scalar, bv: BasisVector) -> tuple[Ba
     return bv, ZERO
 
 
-def _apply_outer(
-    c1: Scalar, c2: Scalar, c3: Scalar, x: Element, base: Element = ZERO_ELEMENT
-) -> Element:
+def _apply_outer(c1: Scalar, c2: Scalar, c3: Scalar, x: Element, base: Element) -> Element:
     """``base`` plus the linear extension of ``c1*R1 + c2*R2 + c3*R3`` to ``x``, in one dict."""
     terms = []
     for bv, cf in x._terms.items():
         target, scale = _outer_term(c1, c2, c3, bv)
         if scale:
             terms.append((target, scale * cf))
-    return Element._wrap(_add_into(dict(base._terms), terms))
+    return Element._wrap(add_into(dict(base._terms), terms))
 
 
 def apply_classified(deriv: ClassifiedDerivation, x: Element) -> Element:
@@ -154,9 +151,9 @@ def _bracket_violations(
                 continue
             residual: dict[BasisVector, Scalar] = {}
             for bv, cf in xy._terms.items():
-                _add_into(residual, dmap.image(bv)._terms.items(), cf)
+                add_into(residual, dmap.image(bv)._terms.items(), cf)
             for part in rhs(x, y):
-                _add_into(residual, part._terms.items(), -1)
+                add_into(residual, part._terms.items(), -1)
             if residual:
                 violations.append((x, y, Element._wrap(residual)))
     return violations

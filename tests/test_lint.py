@@ -30,7 +30,7 @@ import svlie
 PACKAGE = Path(svlie.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 LAYERS = ("scalar", "algebra", "derivations", "autgroup", "expr", "verify", "cli")
-MAX_PRIVATE_IMPORTS = 5
+MAX_PRIVATE_IMPORTS = 4
 OLDEST_PYTHON = (3, 10)
 HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
@@ -145,9 +145,8 @@ def test_each_module_imports_only_earlier_layers(name):
 
 
 def test_few_private_names_cross_modules():
-    """The five: autgroup imports ``_apply_outer`` from derivations; derivations
-    imports ``_add_into`` from algebra; expr imports ``_MAX_TERMS`` from algebra
-    and ``_digit_run`` and ``_skip_ws`` from scalar."""
+    """The four: autgroup imports ``_apply_outer`` from derivations; expr imports
+    ``_MAX_TERMS`` from algebra and ``_digit_run`` and ``_skip_ws`` from scalar."""
     crossing = sorted(
         f"{path.stem} <- {module}.{name}"
         for path in MODULES

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from svlie.algebra import C, L, M, Y
+from svlie.algebra import C, L, M, Window, Y, centralizer_window
 from svlie.scalar import (
     I,
     ONE,
@@ -90,6 +90,10 @@ def test_arithmetic_with_a_non_number_raises_and_equality_is_false(other):
             op(ONE, other)
         with pytest.raises(TypeError):
             op(other, ONE)
+    # - adds the negation, yet must refuse as -: not as +, nor through float.__radd__
+    for left, right in ((ONE, other), (other, ONE)):
+        with pytest.raises(TypeError, match="for -:"):
+            left - right
     assert (ONE == other) is False
     assert ONE != other
 
@@ -140,6 +144,11 @@ def test_format_examples():
     assert format_scalar(Scalar(Fraction(3, 2), Fraction(-1))) == "3/2-1i"
     assert format_scalar(Scalar(0, Fraction(-2, 5))) == "-2/5i"
     assert format_scalar(Scalar(1, 2)) == "1+2i"
+
+
+@pytest.mark.parametrize("x", [ZERO, q(-3), I, Scalar(Fraction(3, 2), -1)], ids=str)
+def test_str_is_the_canonical_spelling(x):
+    assert str(x) == format_scalar(x)
 
 
 @pytest.mark.parametrize(
@@ -348,6 +357,17 @@ def dense_nullspace(rows, cols):
             vec[pc] = -work[r][free]
         basis.append(vec)
     return basis
+
+
+def test_a_pivot_row_with_an_empty_tail_costs_no_arithmetic(monkeypatch):
+    # every reduction step of the centralizer at radius 16 meets a one-entry pivot
+    # row; _reduce_row skips its empty tail instead of negating the factor for it
+    centralizer_window(Window(16))  # fills the bracket_basis cache
+    calls = []
+    neg = Scalar.__neg__
+    monkeypatch.setattr(Scalar, "__neg__", lambda self: calls.append(self) or neg(self))
+    centralizer_window(Window(16))
+    assert calls == []
 
 
 def test_single_entry_rows_give_the_same_kernel_in_any_order():

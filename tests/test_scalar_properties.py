@@ -31,8 +31,8 @@ pairs = st.tuples(rationals, rationals | st.just(Fraction(0)))
 scalars = pairs.map(lambda p: Scalar(*p))
 # 1 as a shared, a fresh and a reduced Scalar; drawn pairs rarely hit 1 exactly
 unit_scalars = st.sampled_from([ONE, Scalar(1), Scalar(Fraction(2, 2))])
-# operands as they reach Scalar arithmetic: Scalar, int or Fraction
-operands = st.one_of(scalars, small_ints, big_ints, rationals, unit_scalars, st.just(1))
+# operands as they reach Scalar arithmetic: Scalar, int (bools included) or Fraction
+operands = st.one_of(scalars, small_ints, big_ints, rationals, unit_scalars, st.just(1), st.booleans())
 
 
 def model(x):

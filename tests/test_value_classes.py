@@ -186,3 +186,23 @@ def test_replace_runs_every_check_again():
     # coerced again: a plain int field comes back a Scalar, a zero position is dropped
     assert _deriv().replace(c1=2).c1 == Scalar(2)
     assert dict(p.replace(b={1: 0, 3: 1}).b) == {3: ONE}
+
+
+@pytest.mark.parametrize("value", [0.5, "1", 1j, None], ids=["float", "str", "complex", "none"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: Element([(L(0), v)]),
+        lambda v: single(L(0), v),
+        lambda v: single(L(0)) * v,
+        lambda v: AutomorphismParams(u=v),
+        lambda v: AutomorphismParams(b={1: v}),
+        lambda v: ClassifiedDerivation(c1=v),
+        lambda v: ONE / v,
+    ],
+    ids=["element", "single", "element-times", "params-u", "params-b", "derivation-c1", "divide"],
+)
+def test_every_coefficient_entry_refuses_a_non_number(build, value):
+    # Scalar.coerce is the one gate; it reads ints and Fractions and nothing else
+    with pytest.raises(TypeError, match="cannot interpret .* as a scalar"):
+        build(value)
