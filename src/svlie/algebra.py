@@ -94,9 +94,11 @@ class BasisVector:
     so equality is identity.  Dict lookups and the ``bracket_basis`` cache then
     use the built-in identity hash, where a generated ``__hash__`` and
     ``__eq__`` would run in Python on every probe of the bracket loops.
+    ``degree``, the gradation degree (the index for L/Y/M, zero for C), is a
+    read-only slot set once at interning, so reading it runs no Python code.
     """
 
-    __slots__ = ("kind", "index")
+    __slots__ = ("kind", "index", "degree")
 
     def __new__(cls, kind: str, index: int = 0) -> "BasisVector":
         # bool is a subclass of int and 1.0 == 1: either would hit or seed the
@@ -113,6 +115,7 @@ class BasisVector:
         self = object.__new__(cls)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "degree", 0 if kind == "C" else index)
         return _INTERNED.setdefault((kind, index), self)
 
     def __setattr__(self, name, value):
@@ -126,11 +129,6 @@ class BasisVector:
 
     def __repr__(self) -> str:
         return f"BasisVector(kind={self.kind!r}, index={self.index!r})"
-
-    @property
-    def degree(self) -> int:
-        """Gradation degree: the index for L/Y/M, zero for C."""
-        return 0 if self.kind == "C" else self.index
 
     def sort_key(self) -> tuple[int, int]:
         return (_KIND_ORDER[self.kind], self.index)
@@ -254,6 +252,9 @@ def single(bv: BasisVector, coeff=ONE) -> Element:
     return Element._wrap({bv: coeff}) if coeff else ZERO_ELEMENT
 
 
+_FLIP_SIGNS = str.maketrans("+-", "-+")
+
+
 def format_element(x: Element) -> str:
     """Canonical text form: terms in basis order, unit coefficients elided."""
     if x.is_zero():
@@ -264,7 +265,8 @@ def format_element(x: Element) -> str:
         text = format_scalar(cf)
         negative = text[0] == "-"
         if negative:
-            text = format_scalar(-cf)
+            # -cf's text: the same digits with the leading sign dropped and the inner one flipped
+            text = text[1:].translate(_FLIP_SIGNS)
         if "+" in text or "-" in text:
             text = f"({text})"
         body = str(bv) if text == "1" else f"{text}*{bv}"

@@ -7,8 +7,11 @@ out one ``math.gcd`` per result, so equal values have equal triples; its two
 accumulation steps are ``add_product`` (a bracket's ``prev + k*x*y`` in one
 reduction) and ``add_into`` (scaled entries into a zero-free dict).  The text
 codec prints and reads the canonical spelling exactly.  The solver keeps its
-rows sparse and eliminates each by its lowest nonzero column with ``add_into``.
-Nothing here rounds: ``==`` is the only notion of equality.
+rows sparse and eliminates each by its lowest nonzero column with ``add_into``;
+a row left with one entry becomes its pivot row as ``{}`` with no arithmetic,
+and the ungraded-entry check reads each entry's ``BasisVector.degree``, a
+slot set once at interning.  Nothing here rounds: ``==`` is the only notion
+of equality.
 """
 
 from __future__ import annotations
@@ -184,6 +187,13 @@ class Scalar:
         return _reduced(a * d, -b * d, norm)
 
     def __truediv__(self, other):
+        if other.__class__ is int:
+            if not other:
+                raise ZeroDivisionError("scalar division by zero")
+            a, b, d = self._t
+            if other < 0:
+                return _reduced(-a, -b, -d * other)
+            return _reduced(a, b, d * other)
         return self * Scalar.coerce(other).inverse()
 
     def __rtruediv__(self, other):
@@ -473,7 +483,8 @@ def _reduce_row(pivots: dict[int, dict[int, Scalar]], row: dict[int, Scalar]) ->
         factor = row.pop(lead)
         tail = pivots.get(lead)
         if tail is None:
-            if factor != ONE:
+            # a one-entry row's tail is empty whatever its lead, so it needs no scaling
+            if row and factor != ONE:
                 inv = factor.inverse()
                 row = {c: cf * inv for c, cf in row.items()}
             pivots[lead] = row

@@ -82,6 +82,9 @@ def test_degree_examples():
     assert L(-4).degree == -4
     assert C.degree == 0
     assert M(0).degree == 0
+    for make in (L, Y, M):
+        for n in (*range(-300, 301), 10**6, -(10**12), 2**70):
+            assert make(n).degree == n
 
 
 def test_basis_vector_validation():
@@ -94,11 +97,12 @@ def test_basis_vector_validation():
 def test_basis_vectors_are_interned():
     bv = L(3)
     assert BasisVector("L", 3) is bv
-    assert pickle.loads(pickle.dumps(bv)) is bv
-    assert copy.copy(bv) is bv
-    assert copy.deepcopy(bv) is bv
     assert repr(bv) == "BasisVector(kind='L', index=3)"
     assert BasisVector("C") is C
+    for bv in (L(3), Y(-7), M(0), C):
+        for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            assert clone(bv) is bv
+        assert "degree" not in repr(bv)
 
 
 def test_basis_vector_is_immutable():
@@ -107,7 +111,11 @@ def test_basis_vector_is_immutable():
         bv.index = 5
     with pytest.raises(AttributeError):
         del bv.kind
-    assert Y(-2).index == -2 and str(Y(-2)) == "Y[-2]"
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'degree' of immutable BasisVector$"):
+        bv.degree = 5
+    with pytest.raises(AttributeError, match=r"^cannot delete field 'degree' of immutable BasisVector$"):
+        del bv.degree
+    assert Y(-2).index == Y(-2).degree == -2 and str(Y(-2)) == "Y[-2]"
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,25 @@ def test_canonical_printing():
     assert format_element(single(Y(1), Scalar(1, -2))) == "(1-2i)*Y[1]"
 
 
+def test_printing_negative_coefficients_negates_no_scalar(monkeypatch):
+    # every sign pattern of a Gaussian coefficient, first in the sum and after it
+    parts = [Fraction(-3, 4), 0, 2]
+    coeffs = [Scalar(a, b) for a in parts for b in (Fraction(-1, 2), 0, 5) if a or b]
+    corpus = [Element([(L(1), cf), (M(-2), other)]) for cf in coeffs for other in coeffs]
+    calls = []
+    neg = Scalar.__neg__
+    monkeypatch.setattr(Scalar, "__neg__", lambda self: calls.append(self) or neg(self))
+    texts = [format_element(x) for x in corpus]
+    assert calls == []
+    monkeypatch.undo()
+    for x, text in zip(corpus, texts):
+        assert parse_element(text) == x
+    assert format_element(Element([(L(0), Scalar(-1, 2)), (C, Scalar(-1, -2))])) == "-(1-2i)*L[0] - (1+2i)*C"
+    assert format_element(Element([(Y(3), Scalar(0, -3)), (M(0), Scalar(Fraction(-3, 4), 5))])) == (
+        "-3i*Y[3] - (3/4-5i)*M[0]"
+    )
+
+
 def test_roundtrip_randomized():
     rng = SplitMix64(41)
     for _ in range(400):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from svlie.algebra import C, L, M, Window, Y, centralizer_window
+from svlie.derivations import equivariant_hom_nullity, outer_independence_kernel
 from svlie.scalar import (
     I,
     ONE,
@@ -368,6 +369,34 @@ def test_a_pivot_row_with_an_empty_tail_costs_no_arithmetic(monkeypatch):
     monkeypatch.setattr(Scalar, "__neg__", lambda self: calls.append(self) or neg(self))
     centralizer_window(Window(16))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "build, inverses",
+    [
+        (lambda: centralizer_window(Window(16)), 0),
+        (lambda: outer_independence_kernel(Window(4)), 0),
+        (lambda: equivariant_hom_nullity(Window(8)), 15),
+    ],
+    ids=["center-16", "outer-4", "hom-8"],
+)
+def test_a_one_entry_row_becomes_its_pivot_without_an_inverse(monkeypatch, build, inverses):
+    # every new pivot row of the center and outer systems has one entry, so none
+    # is rescaled; hom's 15 inverses are its multi-entry pivot rows with lead != 1
+    build()  # fills the bracket_basis cache
+    calls = []
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda self: calls.append(self) or inverse(self))
+    build()
+    assert len(calls) == inverses
+
+
+@pytest.mark.parametrize("lead", [q(3), q(1, 2) * I], ids=["3", "i/2"])
+def test_graded_system_stores_a_one_entry_row_as_an_empty_pivot_row(lead):
+    rows = [[0, lead, 0], [1, 2, 1]]
+    system = system_of(rows, 3)
+    assert system.pivots == {1: {}, 0: {1: q(2), 2: ONE}}
+    assert nullspace(system) == dense_nullspace(rows, 3) == [[-ONE, ZERO, ONE]]
 
 
 def test_single_entry_rows_give_the_same_kernel_in_any_order():

@@ -141,9 +141,15 @@ def test_add_product_examples():
     assert add_product(Scalar(Fraction(1, 6)), Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3)), ONE)._t == (1, 0, 3)
 
 
-@given(scalars, operands)
-def test_division_and_inverse_match_the_model(x, y):
+@given(scalars, operands, st.one_of(small_ints, big_ints, st.booleans(), st.just(0)))
+def test_division_and_inverse_match_the_model(x, y, k):
     p, q = model(x), model(y)
+    # an int divisor, either sign, takes the one-reduction branch; a bool the general one
+    if k:
+        assert_canonical(x / k, m_mul(p, m_inv(model(k))))
+    else:
+        with pytest.raises(ZeroDivisionError, match="^scalar division by zero$"):
+            x / k
     if is_zero(y):
         with pytest.raises(ZeroDivisionError):
             x / y
