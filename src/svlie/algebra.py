@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import functools
 
-from .scalar import ONE, Scalar, ZERO, add_into, add_product, format_scalar, graded_system, nullspace
+from .scalar import ONE, Frozen, Scalar, ZERO, add_into, add_product, format_scalar, graded_system, nullspace
 
 __all__ = [
+    "MAX_TERMS",
     "Record",
     "BasisVector",
     "Element",
@@ -43,15 +44,17 @@ _KIND_ORDER = {"L": 0, "Y": 1, "M": 2, "C": 3}
 _INTERNED: dict[tuple[str, int], "BasisVector"] = {}
 
 
-class Record:
+class Record(Frozen):
     """An immutable value whose fields are its ``__slots__``, in order.
 
     A subclass checks its arguments once in ``__init__`` and hands the field
-    values to ``_store``, which also keeps them as one tuple.  Equality and
-    hash compare that tuple between instances of one class, the repr is the
-    dataclass one, and ``__reduce__`` (for copies and pickles) and
-    ``replace(**changes)`` rebuild through ``__init__``, so every check runs
-    again.
+    values to ``_store``, which also keeps them as one tuple; ``Frozen``
+    refuses every later assignment or deletion.  Equality compares that tuple
+    between instances of one class and hash hashes it, so a subclass with an
+    unhashable field either hashes a key that agrees with ``==`` or sets
+    ``__hash__ = None``.  The repr is the dataclass one, and ``__reduce__``
+    (for copies and pickles) and ``replace(**changes)`` rebuild through
+    ``__init__``, so every check runs again.
     """
 
     __slots__ = ("_values",)
@@ -60,12 +63,6 @@ class Record:
         object.__setattr__(self, "_values", values)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -87,7 +84,7 @@ class Record:
         return type(self)(**dict(zip(self.__slots__, self._values), **changes))
 
 
-class BasisVector:
+class BasisVector(Frozen):
     """One of L[n], Y[n], M[n] or the central C (which carries no index).
 
     Interned: construction returns the one instance for each ``(kind, index)``,
@@ -117,12 +114,6 @@ class BasisVector:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "degree", 0 if kind == "C" else index)
         return _INTERNED.setdefault((kind, index), self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of immutable BasisVector")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of immutable BasisVector")
 
     def __reduce__(self):
         return (BasisVector, (self.kind, self.index))
@@ -280,8 +271,8 @@ def format_element(x: Element) -> str:
 # Terms of a parsed element, and entries of an automorphism's b or c.  The
 # bracket of two sums is quadratic in their terms, so one command then runs
 # at most _MAX_BRACKETS basis brackets, and the cache keeps that many.
-_MAX_TERMS = 256
-_MAX_BRACKETS = _MAX_TERMS**2
+MAX_TERMS = 256
+_MAX_BRACKETS = MAX_TERMS**2
 
 
 @functools.lru_cache(maxsize=_MAX_BRACKETS)

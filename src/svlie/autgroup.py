@@ -119,6 +119,10 @@ class AutomorphismParams(Record):
             raise ValueError("u and w must be nonzero")
         self._store(b, c, i, u, w, Scalar.coerce(alpha), Scalar.coerce(beta), Scalar.coerce(gamma))
 
+    def __hash__(self) -> int:  # a mappingproxy does not hash; b and c are in ascending position order
+        b, c, *rest = self._values
+        return hash((tuple(b.items()), tuple(c.items()), *rest))
+
     def __reduce__(self):  # a mappingproxy does not pickle; __init__ makes plain b and c read-only
         b, c, *rest = self._values
         return (AutomorphismParams, (dict(b), dict(c), *rest))

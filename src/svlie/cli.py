@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .algebra import Element, bracket, exp_ad, format_element
+from .algebra import Element, MAX_TERMS, bracket, exp_ad, format_element
 from .autgroup import compose, factorize, invert, apply as apply_automorphism
 from .derivations import apply_classified
 from .expr import MAX_INDEX, classified_from_json, params_from_json, params_to_json, parse_element
@@ -57,14 +57,19 @@ def _load(path: str, decoder):
 def _emit(result, fmt: str) -> None:
     """Print an ``Element`` or ``AutomorphismParams`` result in ``fmt``.
 
-    A result with an index past ``MAX_INDEX`` (a basis index, or a ``b`` or
-    ``c`` position) is refused instead, so that every printed result parses back.
+    A result past an input limit is refused instead, so that every printed
+    result parses back: an index past ``MAX_INDEX`` (a basis index, or a ``b``
+    or ``c`` position), or more than ``MAX_TERMS`` terms or ``b`` or ``c`` entries.
     """
     element = isinstance(result, Element)
     indices = [bv.index for bv in result.support()] if element else [*result.b, *result.c]
     far = max(map(abs, indices), default=0)
     if far > MAX_INDEX:
         raise ValueError(f"result index too large: {far} is past the input limit +/-{MAX_INDEX}")
+    counts = {"terms": len(indices)} if element else {"b entries": len(result.b), "c entries": len(result.c)}
+    for what, count in counts.items():
+        if count > MAX_TERMS:
+            raise ValueError(f"result too large: {count} {what}, over the input limit of {MAX_TERMS}")
     if element:
         text = format_element(result)
         print(text if fmt == "text" else json.dumps({"result": text}))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 
+from . import algebra
 from .algebra import (
     BasisVector,
     C,
@@ -27,7 +28,6 @@ from .algebra import (
     Y,
     ZERO_ELEMENT,
     bracket,
-    bracket_basis,
     single,
 )
 from .scalar import ONE, Scalar, ZERO, add_into, graded_system, nullspace
@@ -102,6 +102,7 @@ class WindowMap(Record):
     """Extensional linear map: one exact image per in-window basis vector."""
 
     __slots__ = ("window", "images")
+    __hash__ = None  # ``images`` is a plain dict that whoever holds the map can change
 
     def __init__(self, window: Window, images: Mapping[BasisVector, Element]) -> None:
         # Count first, so a huge radius is rejected without enumerating its window.
@@ -146,7 +147,7 @@ def _bracket_violations(
     violations = []
     for i, x in enumerate(gens):
         for y in gens[i + 1 :]:
-            xy = bracket_basis(x, y)
+            xy = algebra.bracket_basis(x, y)
             if not window.contains(xy):
                 continue
             residual: dict[BasisVector, Scalar] = {}
@@ -184,23 +185,20 @@ def classify_degree0(dmap: WindowMap) -> ClassifiedDerivation:
     M[n] -> 2 g0 M[n] and C -> 0; it is returned as
     ``ClassifiedDerivation(c1=d1, c2=d, c3=g0)`` with zero inner part.
 
-    Raises DerivationError("not degree-0 into S: ...") when some image leaves
-    the span of the same-index Y and M vectors, and ("not a derivation of the
-    stated form: ...") when the fit read off L[0], L[1], Y[0] fails on any
-    window generator (including C, whose image must vanish).
+    The fit is read off L[0], L[1] and Y[0]; then each window generator is
+    checked once, in window order.  The first whose image differs from the
+    fit raises DerivationError("not degree-0 into S: ...") when that image
+    leaves the span of the same-index Y and M vectors, and ("not a derivation
+    of the stated form: ...") otherwise; C's image must vanish.
     """
-    window = dmap.window
-    for bv in window.vectors():
-        if bv.kind == "C":
-            continue
-        for t in dmap.image(bv).support():
-            if t.kind not in ("Y", "M") or t.index != bv.index:
-                raise DerivationError(f"not degree-0 into S: {bv}")
     d1 = dmap.image(L(0)).coeff(M(0))
     d = dmap.image(L(1)).coeff(M(1)) - d1
     g0 = dmap.image(Y(0)).coeff(Y(0))
-    for bv in window.vectors():
-        if dmap.image(bv) != single(*_outer_term(d1, d, g0, bv)):
+    for bv in dmap.window.vectors():
+        image = dmap.image(bv)
+        if image != single(*_outer_term(d1, d, g0, bv)):
+            if bv.kind != "C" and any(t.kind not in ("Y", "M") or t.index != bv.index for t in image._terms):
+                raise DerivationError(f"not degree-0 into S: {bv}")
             raise DerivationError(f"not a derivation of the stated form: {bv}")
     return ClassifiedDerivation(d1, d, g0)
 
@@ -249,7 +247,7 @@ def outer_independence_kernel(
     def terms(col, g):
         if col in units:
             return (_outer_term(*col, g),)
-        return ((v, -cf) for v, cf in bracket_basis(col, g)._terms.items())
+        return ((v, -cf) for v, cf in algebra.bracket_basis(col, g)._terms.items())
 
     def tests(d, block):
         for g in gens:
@@ -295,11 +293,11 @@ def equivariant_hom_nullity(window: Window) -> int:
                 direct, images = at.get(yn, ()), at.get(ymn, ())
                 if not (direct or images):
                     continue
-                constraints = [((yn, t), bracket_basis(lm, t)._terms.items()) for t in direct]
+                constraints = [((yn, t), algebra.bracket_basis(lm, t)._terms.items()) for t in direct]
                 if images:
                     neg = action.get((m, n))
                     if neg is None:
-                        neg = action[m, n] = -bracket_basis(lm, yn).coeff(ymn)
+                        neg = action[m, n] = -algebra.bracket_basis(lm, yn).coeff(ymn)
                     if neg:
                         constraints += [((ymn, t), ((t, neg),)) for t in images]
                 yield (m, n), m + n, constraints

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import BasisVector, C, Element, Window, _MAX_TERMS, format_element
+from .algebra import BasisVector, C, Element, MAX_TERMS, Window, format_element
 from .autgroup import AutomorphismParams
 from .derivations import ClassifiedDerivation, WindowMap
 from .scalar import ONE, ParseError, Scalar, ZERO, _digit_run, _skip_ws, format_scalar, parse_scalar
@@ -119,7 +119,7 @@ def parse_element(text: str) -> Element:
     terms: list[tuple[BasisVector, Scalar]] = []
     negative = text.startswith("-")
     pos = 1 if negative else 0
-    while len(terms) < _MAX_TERMS:
+    while len(terms) < MAX_TERMS:
         m = _spelled_term(text, pos)
         if m is None:
             break
@@ -190,8 +190,8 @@ def _scanned_element(text: str) -> Element:
         if text[pos] not in "+-":
             raise ParseError(pos, "'+', '-' or end of element")
         parsed += 1
-        if parsed == _MAX_TERMS:
-            raise ParseError(pos, f"end of element (at most {_MAX_TERMS} terms)")
+        if parsed == MAX_TERMS:
+            raise ParseError(pos, f"end of element (at most {MAX_TERMS} terms)")
         negative = text[pos] == "-"
         pos = _skip_ws(text, pos + 1)
     if loose:
@@ -254,8 +254,8 @@ def params_from_json(data: dict) -> AutomorphismParams:
         raw = fields[field]
         if not isinstance(raw, dict):
             raise ValueError(f"{field} must be an object of position -> scalar")
-        if len(raw) > _MAX_TERMS:
-            raise ValueError(f"{field} has {len(raw)} entries, over the limit of {_MAX_TERMS}")
+        if len(raw) > MAX_TERMS:
+            raise ValueError(f"{field} has {len(raw)} entries, over the limit of {MAX_TERMS}")
         values = {}
         for key, value in raw.items():
             pos = _parse_position(key)

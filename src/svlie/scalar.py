@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
+    "Frozen",
     "Scalar",
     "LinearSystem",
     "ParseError",
@@ -49,7 +50,20 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-class Scalar:
+class Frozen:
+    """A slotted immutable base: a subclass sets each field once with ``object.__setattr__``
+    or the slot's ``__set__``, and assigning or deleting a field later raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+
+class Scalar(Frozen):
     """A Gaussian rational ``re + im*i``; immutable and always canonical.
 
     Stored in one slot as the integer triple ``_t = (a, b, d)`` meaning
@@ -74,12 +88,6 @@ class Scalar:
         a, b, d = re.numerator * di, im.numerator * dr, dr * di
         g = gcd(a, b, d)
         _set(self, (a // g, b // g, d // g))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of immutable Scalar")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of immutable Scalar")
 
     def __reduce__(self):
         return (_make, self._t)
@@ -234,7 +242,7 @@ _MAX_POWER_BITS = 1 << 14
 _ZERO_T = (0, 0, 1)
 _ONE_T = (1, 0, 1)
 
-# The slot setter that bypasses Scalar.__setattr__, for building new values.
+# The slot setter that bypasses Frozen.__setattr__, for building new values.
 _set = Scalar._t.__set__
 _new = object.__new__
 

@@ -248,6 +248,47 @@ def test_centralizer_tiny_window():
     assert centralizer_window(Window(1)) == [single(M(0)), single(C)]
 
 
+def _reduced(rows, x):
+    """``x`` less its part in the span of ``rows``, an echelon basis keyed by each
+    row's least basis vector (coefficient 1 there, every other term greater)."""
+    while not x.is_zero():
+        lead = min(x.support(), key=BasisVector.sort_key)
+        if lead not in rows:
+            break
+        x = x - rows[lead] * x.coeff(lead)
+    return x
+
+
+def _generated(generators, window):
+    """An echelon basis of the span of ``generators`` closed under each ``ad g``,
+    where only brackets supported inside ``window`` are kept."""
+    rows, queue = {}, [single(g) for g in generators]
+    while queue:
+        x = _reduced(rows, queue.pop())
+        if not x.is_zero():
+            lead = min(x.support(), key=BasisVector.sort_key)
+            rows[lead] = x * x.coeff(lead).inverse()
+            queue += [y for g in generators if window.contains(y := bracket(single(g), x))]
+    return rows
+
+
+@pytest.mark.parametrize("r, dim", [(2, 28), (3, 40), (4, 52)])
+def test_l_pm1_l_pm2_and_y0_generate_the_doubled_window(r, dim):
+    # the generation fact: S = {L[1], L[-1], L[2], L[-2], Y[0]} lies in Window(2)
+    # and, bracketing only inside Window(2r), spans all of it (an exact rank)
+    window = Window(2 * r)
+    assert len(window.vectors()) == dim
+    assert len(_generated((L(1), L(-1), L(2), L(-2), Y(0)), window)) == dim
+
+
+def test_l_pm1_and_y0_alone_miss_the_higher_virasoro_vectors_and_c():
+    window = Window(6)
+    rows = _generated((L(1), L(-1), Y(0)), window)
+    missed = [bv for bv in window.vectors() if not _reduced(rows, single(bv)).is_zero()]
+    assert missed == [*(L(n) for n in range(-6, -1)), *(L(n) for n in range(2, 7)), C]
+    assert len(rows) == 40 - len(missed)
+
+
 def test_bracket_basis_cache_stays_within_its_bound():
     # 260 * 260 distinct basis pairs, more than the 65,536 the cache keeps
     x = Element([(L(k), 1) for k in range(260)])

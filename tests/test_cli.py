@@ -490,6 +490,27 @@ def test_params_of_256_entries_are_accepted(tmp_path, capsys, field):
     assert len(json.loads(out)[field]) == 256
 
 
+def test_result_over_256_terms_exits_1_so_no_printed_result_fails_to_parse(capsys):
+    # [L[n], Y[m]] = (m - n/2) Y[n+m]: 2 * 256 terms, none of them zero
+    y = " + ".join(f"Y[{k}]" for k in range(1, 257))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "bracket", "--format", fmt, "L[1000] + L[2000]", y)
+        assert (code, out) == (1, "")
+        assert err == "error: result too large: 512 terms, over the input limit of 256\n"
+
+
+@pytest.mark.parametrize("field", ["b", "c"])
+def test_result_over_256_entries_exits_1_so_no_printed_result_fails_to_parse(tmp_path, capsys, field):
+    # the inner exponents add: 256 positions and one more
+    p_file, q_file = tmp_path / "p.json", tmp_path / "q.json"
+    p_file.write_text(json.dumps(_params_with(field, 256)))
+    q_file.write_text(json.dumps({**params_to_json(identity()), field: {"1000": "1"}}))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "compose", "--format", fmt, str(p_file), str(q_file))
+        assert (code, out) == (1, "")
+        assert err == f"error: result too large: 257 {field} entries, over the input limit of 256\n"
+
+
 def _stub(*args):
     raise ValueError("stub")
 

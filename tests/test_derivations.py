@@ -147,6 +147,25 @@ def test_classify_rejects_wrong_degree():
         classify_degree0(WindowMap.from_function(3, image))
 
 
+def test_classify_degree0_reads_each_image_once(monkeypatch):
+    # the three fit reads, then one read per generator: 25 at radius 3
+    wmap = classified_window_map(ClassifiedDerivation(c1=1, c2=2, c3=3), 3)
+    reads = []
+    original = WindowMap.image
+    monkeypatch.setattr(WindowMap, "image", lambda self, bv: reads.append(bv) or original(self, bv))
+    classify_degree0(wmap)
+    assert reads == [L(0), L(1), Y(0), *Window(3).vectors()]
+
+
+def test_classify_names_the_first_failing_generator_in_window_order():
+    # L[-3] gains an in-span M[-3] term and Y[2] a stray L[2]; L[-3] comes first
+    images = dict(classified_window_map(ClassifiedDerivation(c1=1, c2=2, c3=3), 3).images)
+    images[L(-3)] += single(M(-3))
+    images[Y(2)] += single(L(2))
+    with pytest.raises(DerivationError, match=r"^not a derivation of the stated form: L\[-3\]$"):
+        classify_degree0(WindowMap(Window(3), images))
+
+
 def test_decompose_outer_plus_inner():
     deriv = ClassifiedDerivation(c1=ONE, inner=single(L(2)))
     out = decompose(classified_window_map(deriv, 5))
@@ -427,13 +446,13 @@ def test_nullspace_does_no_elimination(monkeypatch, build):
     ids=lambda p: getattr(p, "__name__", None) or ",".join(map(str, p)),
 )
 def test_an_ungraded_bracket_entry_is_refused(monkeypatch, build, pair):
+    # only algebra binds the table, so one patch there reaches every builder
     original = algebra.bracket_basis
 
     def ungraded(a, b):
         return single(M(0)) if (a, b) == pair else original(a, b)
 
     monkeypatch.setattr(algebra, "bracket_basis", ungraded)
-    monkeypatch.setattr(derivations, "bracket_basis", ungraded)
     degree = pair[0].degree + pair[1].degree
     with pytest.raises(ValueError, match=rf"^ungraded entry M\[0\] in test .+: expected degree {degree}$"):
         build(Window(2))

@@ -2,9 +2,11 @@
 
 ``Window``, ``ClassifiedDerivation``, ``AutomorphismParams`` and ``WindowMap``
 were frozen dataclasses; as slotted records they keep the dataclass repr
-(failure witnesses embed it), equality, the same hashability and
-immutability, and all four can be copied, deep-copied and pickled.
-``replace`` goes back through ``__init__``, so every check runs again.
+(failure witnesses embed it), equality and immutability, and all four can
+be copied, deep-copied and pickled.  ``replace`` goes back through
+``__init__``, so every check runs again.  A hash agrees with ``==``:
+``AutomorphismParams`` hashes its read-only ``b`` and ``c`` as item tuples,
+and ``WindowMap``, whose ``images`` dict can change, is unhashable.
 """
 
 import copy
@@ -36,12 +38,18 @@ def _window_map():
     return WindowMap.from_function(1, lambda bv: single(bv) * 2)
 
 
-# (make an instance, its fields in order, hashable)
+def _params_key(values):
+    b, c, *rest = values
+    return (tuple(b.items()), tuple(c.items()), *rest)
+
+
+# (make an instance, its fields in order, the key its hash hashes: a function
+# of the field values, or None when it is unhashable)
 CASES = {
-    "Window": (lambda: Window(3), ("radius",), True),
-    "ClassifiedDerivation": (_deriv, ("c1", "c2", "c3", "inner"), True),
-    "AutomorphismParams": (_params, ("b", "c", "i", "u", "w", "alpha", "beta", "gamma"), False),
-    "WindowMap": (_window_map, ("window", "images"), False),
+    "Window": (lambda: Window(3), ("radius",), tuple),
+    "ClassifiedDerivation": (_deriv, ("c1", "c2", "c3", "inner"), tuple),
+    "AutomorphismParams": (_params, ("b", "c", "i", "u", "w", "alpha", "beta", "gamma"), _params_key),
+    "WindowMap": (_window_map, ("window", "images"), None),
 }
 
 
@@ -102,18 +110,27 @@ def test_fields_cannot_be_assigned_or_deleted(case):
 
 
 def test_equality_and_hash(case):
-    make, fields, hashable = case
+    make, fields, key = case
     x, y = make(), make()
     assert x == y and not (x != y)
     assert x != 5 and not (x == 5)
     # an object of another class with the same fields is not equal
     reference = make_dataclass(type(x).__name__, fields, frozen=True)
     assert x != reference(*_values(x, fields))
-    if hashable:
-        assert hash(x) == hash(y) == hash(_values(x, fields))
-    else:
-        with pytest.raises(TypeError):
+    if key is None:
+        with pytest.raises(TypeError, match=rf"^unhashable type: '{type(x).__name__}'$"):
             hash(x)
+    else:
+        assert hash(x) == hash(y) == hash(key(_values(x, fields)))
+
+
+def test_equal_params_hash_alike_and_share_a_set_entry():
+    # the same value from a mapping, and from pairs in another order with a zero value to drop
+    p = AutomorphismParams({1: ONE, -2: 3}, {2: sc(1, 2)}, 1, 2, sc(-3))
+    q = AutomorphismParams([(-2, sc(3)), (4, ZERO), (1, 1)], [(2, sc(1, 2))], 1, sc(2), -3)
+    assert p == q and hash(p) == hash(q)
+    assert {p, q, AutomorphismParams(), AutomorphismParams()} == {p, AutomorphismParams()}
+    assert len({p, q, p.replace(i=0)}) == 2
 
 
 def test_unequal_when_one_field_differs():
