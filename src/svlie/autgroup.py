@@ -227,7 +227,7 @@ def compose(p: AutomorphismParams, q: AutomorphismParams) -> AutomorphismParams:
 
 
 def invert(p: AutomorphismParams) -> AutomorphismParams:
-    """Closed-form inverse; compose(p, invert(p)) == identity() == the flip.
+    """Closed-form inverse; compose(p, invert(p)) == compose(invert(p), p) == identity().
 
     The tail inverts factor by factor, and its inner exponent is
     -tail^-1(xi) because tail^-1 . exp(-ad xi) = exp(-ad tail^-1(xi)) . tail^-1.
@@ -245,14 +245,15 @@ def invert(p: AutomorphismParams) -> AutomorphismParams:
 def factorize(dmap: WindowMap) -> AutomorphismParams:
     """Read the canonical parameters off a windowed automorphism.
 
-    Extraction order: parity and w^2*u from the image of M[1]; w from the
-    Y[0] image's Y coefficient; b from the Y components of the L[0] image;
-    alpha from the M[s] coefficient of the Y[1] image, which the inner
-    factor never reaches.  Peeling exp(ad of the Y part) off the L[0]
-    image leaves s*L[0] + s*w^2*gamma*M[0] - s*sum_k k*c_k*M[k], which
-    gives gamma and c; peeling the whole inner factor off the L[1] image
-    leaves its tail image, whose M[s] coefficient gives beta.  A full
-    window sweep then verifies the reconstruction and rejects anything else.
+    Four images are read: M[1] gives parity and w^2*u, Y[0] gives w, and the
+    Y part of L[0] gives b.  Peeling exp(ad of that Y part) off the L[0]
+    image leaves s*L[0] + s*w^2*gamma*M[0] - s*sum_k k*c_k*M[k] (gamma, c);
+    peeling the whole inner factor off the L[1] image leaves its tail image
+    s*u*(L[s] + alpha*w*Y[s] + w^2*(alpha^2 + beta + gamma)*M[s]), whose
+    Y[s] and M[s] coefficients give alpha and beta.  One sweep through
+    ``action`` then compares every window image and names the first that
+    differs: L[1] first, since a stray term there skews alpha or beta and
+    so every L image, then the rest in window order.
     """
     if dmap.window.radius < MAP_RADIUS:
         raise ValueError(f"factorize needs window radius >= {MAP_RADIUS}")
@@ -284,8 +285,6 @@ def factorize(dmap: WindowMap) -> AutomorphismParams:
                 fail(L(0))
             b[bv.index] = -s * cf / bv.index
 
-    alpha = s * dmap.image(Y(1)).coeff(M(s)) / (2 * w * w * u)
-
     rest = exp_ad(-_inner_argument(b, {}), img_l0)
     if any(bv.kind != "M" and bv is not L(0) for bv in rest._terms):
         fail(L(0))
@@ -294,13 +293,12 @@ def factorize(dmap: WindowMap) -> AutomorphismParams:
          if bv.kind == "M" and bv.index}
 
     tail_l1 = exp_ad(-_inner_argument(b, c), dmap.image(L(1)))
+    alpha = s * tail_l1.coeff(Y(s)) / (u * w)
     beta = s * tail_l1.coeff(M(s)) / (u * w * w) - alpha * alpha - gamma
 
     params = AutomorphismParams(b, c, parity, u, w, alpha, beta, gamma)
-    if tail_l1 != _tail(params)(single(L(1))):
-        fail(L(1))
     act = action(params)
-    for bv in dmap.window.vectors():
+    for bv in dict.fromkeys((L(1), *dmap.window.vectors())):
         if act(single(bv)) != dmap.image(bv):
             fail(bv)
     return params

@@ -5,7 +5,9 @@ All randomness comes from SplitMix64 (documented below), so identical
 platform.  The ``lemma36-verdict`` suite audits, component by component, a
 candidate closed form for the composition law against the generator-wise
 oracle; the suite itself passes iff the shipped closed form matches the
-oracle — candidate agreement is reported, never required.
+oracle — candidate agreement is reported, never required.  A refactorization
+that raises inside a check is a violation of that check, so a broken engine
+still gets its report.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ from .scalar import ONE, Scalar, ZERO, format_scalar
 __all__ = ["SUITES", "SplitMix64", "run_suite", "render_text"]
 
 _MAX_WITNESSES = 3
+# what a refactorization raises on a broken table or engine, the two errors
+# cli.main reports as domain failures; inside a check each is one violation
+_ENGINE_ERRORS = (ValueError, ZeroDivisionError)
 # the positions a random b or c draws from
 _SEQ_POSITIONS = (-3, -2, -1, 1, 2, 3)
 
@@ -143,6 +148,10 @@ def random_degree0(rng: SplitMix64) -> ClassifiedDerivation:
     """The degree-zero normal form d1*R1 + d*R2 + g0*R3, drawing d, d1, g0 in that order."""
     d, d1, g0 = random_scalar(rng), random_scalar(rng), random_scalar(rng)
     return ClassifiedDerivation(c1=d1, c2=d, c3=g0)
+
+
+def _raised(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _check(name: str, cases: int, witnesses: list[str]) -> dict:
@@ -318,8 +327,11 @@ def _group_law_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], N
     witnesses = []
     for case in range(half):
         p = random_params(rng)
-        if factorize(automorphism_window_map(p, max(MAP_RADIUS, radius))) != p:
-            witnesses.append(f"case {case}")
+        try:
+            if factorize(automorphism_window_map(p, max(MAP_RADIUS, radius))) != p:
+                witnesses.append(f"case {case}")
+        except _ENGINE_ERRORS as exc:
+            witnesses.append(f"case {case}: {_raised(exc)}")
     checks.append(_check("factorize-apply-identity", half, witnesses))
 
     checks.append(_check("central-character-and-ideals", cases, invariants))
@@ -425,13 +437,15 @@ def _curated_pairs() -> list[tuple[AutomorphismParams, AutomorphismParams]]:
 
 
 def _relation(name: str, trials) -> dict:
-    """One verdict row; its witness is the first (p, q, printed, oracle) trial that disagrees."""
+    """One verdict row; its witness is the first (p, q, printed, oracle) trial that
+    disagrees.  An oracle that raised is its exception, which disagrees with any value."""
     formula, text = _RELATIONS[name]
     witness = None
     for p, q, printed, oracle in trials:
         if printed != oracle:
+            oracle = _raised(oracle) if isinstance(oracle, Exception) else text(oracle)
             witness = {"p": params_to_json(p), "q": params_to_json(q),
-                       "printed": text(printed), "oracle": text(oracle)}
+                       "printed": text(printed), "oracle": oracle}
             break
     return {
         "name": name,
@@ -451,10 +465,15 @@ def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], lis
         (AutomorphismParams(alpha=ONE, gamma=ONE), AutomorphismParams(beta=ONE)),
     ] + [(random_shear(rng), random_shear(rng)) for _ in range(max(1, cases // 4))]
 
+    # a pair whose oracle raised is a violation, left out of every relation row
     oracle_witnesses = []
     results: list[tuple] = []
     for p, q in pairs:
-        oracle = compose_oracle(p, q, radius)
+        try:
+            oracle = compose_oracle(p, q, radius)
+        except _ENGINE_ERRORS as exc:
+            oracle_witnesses.append(f"p={params_to_json(p)} q={params_to_json(q)}: {_raised(exc)}")
+            continue
         if compose(p, q) != oracle:
             oracle_witnesses.append(f"p={params_to_json(p)} q={params_to_json(q)}")
         results.append((p, q, _candidate_components(p, q), oracle))
@@ -471,12 +490,16 @@ def _lemma36_checks(radius: int, seed: int, cases: int) -> tuple[list[dict], lis
 
     def shear_trials():
         for p, q in shear_pairs:
-            oracle = compose_oracle(p, q, radius)
             predicted = (
                 p.alpha + q.alpha,
                 p.beta + q.beta,
                 p.gamma + q.gamma + 2 * p.alpha * q.alpha,
             )
+            try:
+                oracle = compose_oracle(p, q, radius)
+            except _ENGINE_ERRORS as exc:
+                yield p, q, predicted, exc
+                continue
             yield p, q, predicted, (oracle.alpha, oracle.beta, oracle.gamma)
 
     relations.append(_relation("delta-product", shear_trials()))

@@ -2,6 +2,7 @@ import copy
 import pickle
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -23,7 +24,7 @@ from svlie.algebra import (
     single,
 )
 from svlie.derivations import apply_classified
-from svlie.scalar import I, Scalar
+from svlie.scalar import I, Scalar, ZERO
 from svlie.verify import SplitMix64, random_classified, random_element, random_params, random_scalar
 
 
@@ -287,6 +288,50 @@ def test_l_pm1_and_y0_alone_miss_the_higher_virasoro_vectors_and_c():
     missed = [bv for bv in window.vectors() if not _reduced(rows, single(bv)).is_zero()]
     assert missed == [*(L(n) for n in range(-6, -1)), *(L(n) for n in range(2, 7)), C]
     assert len(rows) == 40 - len(missed)
+
+
+def _degree(values):
+    """The degree of the polynomial that equally spaced ``values`` follow, -1 when
+    all are zero: the finite differences taken until every value is zero, less one."""
+    degree = -1
+    while any(values):
+        values = [b - a for a, b in zip(values, values[1:])]
+        degree += 1
+    return degree
+
+
+# kind pair -> (kind of [X[n], X'[m]], at index n + m; its degree in n; in m)
+_BRACKET_DEGREES = {
+    ("L", "L"): ("L", 1, 1),
+    ("L", "Y"): ("Y", 1, 1),
+    ("Y", "L"): ("Y", 1, 1),
+    ("L", "M"): ("M", 0, 1),
+    ("M", "L"): ("M", 1, 0),
+    ("Y", "Y"): ("M", 1, 1),
+}
+
+
+def test_each_structure_constant_is_a_polynomial_of_the_stated_degree():
+    # the fact the polynomial-identity argument takes from the table, checked by
+    # finite differences over n, m in -40..40: [X[n], X'[m]] has one term, at
+    # index n + m, of the stated degree in n and in m, and, for (L, L) on the
+    # plane n + m = 0 alone, a C term of degree 3 in n; all other pairs vanish
+    span = range(-40, 41)
+    central = []
+    for ka, kb in product("LYM", repeat=2):
+        kind, deg_n, deg_m = _BRACKET_DEGREES.get((ka, kb), (None, -1, -1))
+        coeff = {}
+        for n, m in product(span, span):
+            terms = dict(bracket_basis(BasisVector(ka, n), BasisVector(kb, m)).terms())
+            if (ka, kb) == ("L", "L") and n + m == 0:
+                central.append(terms.pop(C, ZERO))
+            coeff[n, m] = terms.pop(BasisVector(kind, n + m), ZERO) if kind else ZERO
+            assert not terms, (ka, n, kb, m)
+        assert max(_degree([coeff[n, m] for n in span]) for m in span) == deg_n, (ka, kb)
+        assert max(_degree([coeff[n, m] for m in span]) for n in span) == deg_m, (ka, kb)
+    assert _degree(central) == 3
+    for bv in (C, *(BasisVector(kind, n) for kind in "LYM" for n in span)):
+        assert bracket_basis(C, bv).is_zero() and bracket_basis(bv, C).is_zero()
 
 
 def test_bracket_basis_cache_stays_within_its_bound():

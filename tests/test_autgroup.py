@@ -291,19 +291,34 @@ _INNER = AutomorphismParams(b={-2: ONE, 1: sc(2)}, c={2: ONE}, u=sc(3), w=sc(2),
         (Y(0), single(Y(0), -_INNER.w)),
         (L(0), single(L(0))),
         (L(0), single(Y(0))),
+        (Y(1), single(M(1))),
     ],
-    ids=["l2-in-l0", "y3-in-l1", "w-zero", "l0-coefficient-not-s", "y0-in-l0"],
+    ids=["l2-in-l0", "y3-in-l1", "w-zero", "l0-coefficient-not-s", "y0-in-l0", "m1-in-y1"],
 )
 def test_factorize_names_the_image_that_holds_a_stray_term(holder, stray):
     # b carries -2, so peeling the inner factor spreads a stray L[2] or Y[3] into
-    # the M[0] or M[1] coefficient that gamma, c or beta are read from; the last
-    # three make w zero, the L[0] coefficient 2, and put Y[0] in the L[0] image
+    # the M[0] or M[1] coefficient that gamma, c or beta are read from; the next
+    # three make w zero, the L[0] coefficient 2, and put Y[0] in the L[0] image;
+    # only the sweep reads the Y[1] image, so a stray M[1] there names Y[1]
     wmap = automorphism_window_map(_INNER, 3)
     images = dict(wmap.images)
     images[holder] = images[holder] + stray
     message = f"not an automorphism of canonical shape: {holder}"
     with pytest.raises(FactorizationError, match=f"^{re.escape(message)}$"):
         factorize(WindowMap(wmap.window, images))
+
+
+def test_factorize_reads_four_images_then_sweeps_each_once(monkeypatch):
+    # M[1], Y[0], L[0] and L[1] give the parameters; the sweep starts at L[1]
+    # and reads every other generator once, in window order: 4 + 25 at radius 3
+    params = _INNER.replace(i=1, alpha=sc(-2), beta=sc(1, 3))
+    wmap = automorphism_window_map(params, 3)
+    reads = []
+    original = WindowMap.image
+    monkeypatch.setattr(WindowMap, "image", lambda self, bv: reads.append(bv) or original(self, bv))
+    assert factorize(wmap) == params
+    rest = [bv for bv in Window(3).vectors() if bv is not L(1)]
+    assert reads == [M(1), Y(0), L(0), L(1), L(1), *rest]
 
 
 def test_factorize_needs_radius_3():

@@ -13,12 +13,14 @@ An operator is the triple ``(d/dt part, d/dr part, multiplication part)`` of
 polynomials ``{(a, b, c): coefficient}`` in ``t^a r^b mu^c``, with ``a`` in
 half-integers and every coefficient a Fraction.  The commutator of two such
 operators ``X + f`` and ``Y + g`` is ``[X, Y] + X(g) - Y(f)``.  Only the basis
-vectors and the table under test come from svlie; the operator algebra does not.
+vectors, and the table and automorphism action under test, come from svlie;
+the operator algebra does not.
 """
 
 from fractions import Fraction
 
-from svlie.algebra import BasisVector, Element, M, Window, Y, bracket_basis
+from svlie.algebra import BasisVector, Element, M, Window, Y, bracket_basis, single
+from svlie.autgroup import AutomorphismParams, apply
 
 HALF = Fraction(1, 2)
 
@@ -112,3 +114,30 @@ def test_the_neighbouring_table_is_not_realized():
     assert len(_non_central(4)) ** 2 == 729
     assert len(_mismatches(_neighbour, 4)) == 288
 
+
+
+def _in_scaled_coordinates(op, root, rho):
+    """``op`` rewritten in the coordinates t' = lam t, r' = rho r, mu' = (lam / rho^2) mu,
+    lam = root^2: t^a r^b mu^c gains lam^-a rho^-b (rho^2 / lam)^c, and d/dt and
+    d/dr become lam d/dt' and rho d/dr'."""
+    lam = root * root
+
+    def substitute(part, factor):
+        return {(a, b, c): factor * cf * root ** int(-2 * a) * rho**-b * (rho * rho / lam) ** c
+                for (a, b, c), cf in part.items()}
+
+    dt, dr, multiplier = op
+    return substitute(dt, lam), substitute(dr, rho), substitute(multiplier, 1)
+
+
+def test_degree_and_kind_scale_are_a_change_of_coordinates():
+    # degree_scale(u) . kind_scale(w), u = 1/lam and w = rho/sqrt(lam), is the
+    # coordinate change t' = lam t, r' = rho r, mu' = (lam / rho^2) mu: an oracle
+    # for the engine's scale factors that shares no code with its action
+    root, rho = Fraction(2, 3), Fraction(-5, 7)
+    params = AutomorphismParams(u=1 / root**2, w=rho / root)
+    gens = _non_central(6)
+    assert len(gens) == 39
+    for bv in gens:
+        expected = realize_element(apply(params, single(bv)))
+        assert _in_scaled_coordinates(realize(bv), root, rho) == expected, bv

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from svlie import algebra, cli, derivations, verify
-from svlie.algebra import C, L, M, Window, Y, jacobi_residual, single
-from svlie.autgroup import AutomorphismParams, identity
+from svlie import algebra, autgroup, cli, derivations, verify
+from svlie.algebra import C, Element, L, M, Window, Y, jacobi_residual, single
+from svlie.autgroup import AutomorphismParams, FactorizationError, identity
 from svlie.derivations import ClassifiedDerivation, WindowMap
 from svlie.expr import params_to_json
 from svlie.scalar import ONE, Scalar, ZERO, format_scalar
@@ -433,6 +433,108 @@ def test_lemma36_failure_prints_pairs_and_each_disagreeing_component(monkeypatch
         }
         assert f"  [DISAGREE] {name}: " in text
         assert f"         printed {printed}  oracle {oracle}" in text
+
+
+def test_a_raising_oracle_is_a_violation_and_leaves_every_relation_row(monkeypatch):
+    def raising(p, q, radius):
+        raise FactorizationError("not an automorphism of canonical shape: L[0]")
+
+    monkeypatch.setattr(verify, "compose_oracle", raising)
+    report = run_suite("lemma36-verdict", radius=1, cases=1)
+    e, raised = identity(), "FactorizationError: not an automorphism of canonical shape: L[0]"
+    pairs = [(e, e), (e, AutomorphismParams(alpha=ONE)), (e, AutomorphismParams(beta=ONE))]
+    witnesses = [f"p={params_to_json(p)} q={params_to_json(q)}: {raised}" for p, q in pairs]
+    _failing_check(report, "compose-matches-oracle-params", 88, witnesses, violations=88)
+    # no pair has an oracle value, so no component row has a witness; the
+    # first shear trial raised, so delta-product disagrees with its text
+    *components, delta = report["relations"]
+    assert all(r["verdict"] == "AGREE" and r["witness"] is None for r in components)
+    shear = AutomorphismParams(alpha=ONE)
+    assert delta["verdict"] == "DISAGREE"
+    assert delta["witness"] == {"p": params_to_json(shear), "q": params_to_json(shear),
+                                "printed": "2, 0, 2", "oracle": raised}
+    assert f"         printed 2, 0, 2  oracle {raised}" in render_text(report)
+
+
+def test_a_raising_factorize_is_a_violation_of_its_check(monkeypatch):
+    def raising(wmap):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(verify, "factorize", raising)
+    report = run_suite("group-law", radius=1, cases=4)
+    witnesses = ["case 0: ZeroDivisionError: division by zero", "case 1: ZeroDivisionError: division by zero"]
+    _failing_check(report, "factorize-apply-identity", 2, witnesses)
+    assert report["violations"] == 2
+
+
+def _table_with_addition(x, y, v):
+    """The bracket table with ``[x, y] += v`` and ``[y, x] -= v``.
+
+    The mirror of a (non-L, L) pair is taken here: the table's own mirror
+    looks ``bracket_basis`` up again, so it would reach this patch and keep
+    the patched value in the table's cache after the patch is undone."""
+    table = algebra.bracket_basis
+
+    def mutant(a, b):
+        if a.kind != "L" and b.kind == "L":
+            return -mutant(b, a)
+        out = table(a, b)
+        if (a, b) == (x, y):
+            return out + single(v)
+        if (a, b) == (y, x):
+            return out - single(v)
+        return out
+
+    return mutant
+
+
+def _tail_with_extra_w(hit):
+    """``_tail`` with one more factor of w on the image of each M[k] with ``hit(k)``."""
+    real = autgroup._tail
+
+    def mutant(p):
+        tail, s = real(p), -1 if p.i else 1
+
+        def mutated(x):
+            return Element([(bv, cf * p.w if bv.kind == "M" and hit(s * bv.index) else cf)
+                            for bv, cf in tail(x)._terms.items()])
+
+        return mutated
+
+    return mutant
+
+
+# Each made `svlie verify --suite all` raise FactorizationError before a raising
+# engine call counted as a violation.  The table additions after the first are
+# every tenth, in window order of (x, y, v), of the 98 of 132 antisymmetric
+# additions in Window(1) that raised at (radius 2, seed 7, cases 3).
+_BROKEN_ENGINES = [
+    pytest.param("bracket_basis", _table_with_addition(x, y, v), 2, 3, id=f"[{x},{y}]+={v}")
+    for x, y, v in [
+        (Y(-1), L(0), L(-1)),
+        (L(-1), Y(0), L(-1)), (L(-1), M(1), C), (L(0), Y(1), M(1)), (L(1), Y(-1), C),
+        (Y(-1), Y(0), M(-1)), (Y(-1), M(1), M(0)), (Y(0), M(-1), M(-1)), (Y(0), C, M(0)),
+        (Y(1), C, Y(1)), (M(-1), C, Y(-1)),
+    ]
+] + [
+    pytest.param("_tail", _tail_with_extra_w(lambda k: abs(k) >= 3), 4, 10, id="tail-w-on-far-m"),
+    pytest.param("_tail", _tail_with_extra_w(lambda k: k == 1), 4, 10, id="tail-w-on-m1"),
+]
+
+
+@pytest.mark.parametrize("binding, mutant, radius, cases", _BROKEN_ENGINES)
+def test_a_broken_engine_still_gets_its_report(monkeypatch, capsys, binding, mutant, radius, cases):
+    monkeypatch.setattr(algebra if binding == "bracket_basis" else autgroup, binding, mutant)
+    code = cli.main(["verify", "--suite", "all", "--radius", str(radius), "--seed", "7",
+                     "--cases", str(cases), "--format", "json"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (code, err, report["passed"]) == (1, "", False)
+    # the refactorization that raised is named in a witness, and every suite ran
+    witnesses = [w for check in report["checks"] for w in check["witnesses"]]
+    assert any(": FactorizationError: not an automorphism of canonical shape: " in w for w in witnesses)
+    assert report["checks"][-1]["name"] == "compose-matches-oracle-params"
+    assert len(report["relations"]) == 9
 
 
 # sha256 of `svlie verify --suite all --radius 4 --seed 0 --cases 100 --format json`
